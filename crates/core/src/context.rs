@@ -52,38 +52,68 @@ struct MemoEntry {
     compiled: Arc<CompiledArtifact>,
 }
 
-/// A backend-compiled fused kernel plus the complete **launch skeleton** it
-/// was compiled under: everything a memoization hit needs to relaunch the
-/// fused window without rebuilding the fused task — the merged arguments in
-/// *canonical* store numbering (instantiated against the concrete window via
-/// [`TaskWindow::canonical_store`]), their access volumes (a function of the
-/// canonical window: shapes and partitions are part of the key), the fused
-/// name and the buffer layout.
+/// A backend-compiled kernel plus the complete **launch skeleton** it was
+/// compiled under — the one form every task-window launch takes (see
+/// [`ContextInner::launch_artifact`]). A memo miss builds and memoizes one, a
+/// memo hit relaunches the cached one without rebuilding the fused task, and
+/// an unfused task is wrapped in a one-task artifact.
 ///
-/// The layout — which fused args were demoted to task-local temporaries
-/// (this fixes both the requirement/local split and the buffer permutation)
-/// and how many generator locals follow — depends on store liveness, which
-/// the canonical window does not capture. It is therefore recomputed per
-/// launch and the artifact is reused only when it matches: a kernel compiled
-/// with an eliminated temporary can never be resurrected for a window where
-/// that store is live and must be written.
-#[derive(Debug, Clone)]
+/// Arguments are held in *canonical* store numbering (first occurrence
+/// across the constituent tasks' arguments), so a cached artifact
+/// instantiates against any isomorphic window via
+/// [`TaskWindow::canonical_store`]. Their access volumes are a function of
+/// the canonical window: shapes and partitions are part of the key.
+///
+/// The layout — which args were demoted to task-local temporaries (this
+/// fixes both the requirement/local split and the buffer permutation) —
+/// depends on store liveness, which the canonical window does not capture.
+/// It is therefore recomputed per launch and a cached artifact is reused
+/// only when it matches: a kernel compiled with an eliminated temporary can
+/// never be resurrected for a window where that store is live and must be
+/// written.
+#[derive(Debug)]
 struct CompiledArtifact {
     kernel: Arc<dyn CompiledKernel>,
-    /// Fused name (`fused[a+b+...]`) of the window that was memoized. Task
-    /// names are not part of the canonical key, so an isomorphic window
-    /// with different task names relaunches under this name — profiles and
+    /// Launch name: the task's own name, or `fused[a+b+...]`. Task names are
+    /// not part of the canonical key, so an isomorphic window with different
+    /// task names relaunches under the memoized name — profiles and
     /// diagnostics show the memoized window's name, which identifies the
     /// structure (and the kernel actually run) rather than the instance.
     name: String,
-    /// Merged fused args as (canonical store index, partition, privilege).
+    /// Launch arguments as (canonical store index, partition, privilege).
     args: Vec<(u32, PartitionId, Privilege)>,
     /// Per-arg access volume over the launch domain.
     arg_volumes: Vec<usize>,
-    /// Largest arg volume (sizes generator-introduced locals).
-    max_vol: usize,
     is_temp: Vec<bool>,
-    num_generator_locals: usize,
+    /// Lengths of the generator-introduced locals, exactly as the builder
+    /// verified and priced them, so a relaunch prices identically.
+    generator_local_lens: Vec<usize>,
+}
+
+/// Where [`ContextInner::launch_artifact`] finds a launch's constituent
+/// tasks and the concrete store behind each artifact argument.
+enum Binding<'a> {
+    /// A memo hit: the window's first `n` tasks. The artifact's canonical
+    /// indices resolve through the window numbering, then the prefix drains.
+    Window(usize),
+    /// A freshly built artifact: its drained constituent tasks and the store
+    /// of each argument, in argument order.
+    Drained(&'a [IndexTask], &'a mut dyn Iterator<Item = StoreId>),
+}
+
+/// Renumbers `args` canonically: each store becomes the index of its first
+/// occurrence across `tasks`' arguments — the numbering a memo probe
+/// resolves cached artifacts against.
+fn canonical_args(
+    tasks: &[IndexTask],
+    args: impl Iterator<Item = (StoreId, PartitionId, Privilege)>,
+) -> Vec<(u32, PartitionId, Privilege)> {
+    let mut canon: HashMap<StoreId, u32> = HashMap::new();
+    for a in tasks.iter().flat_map(|t| &t.args) {
+        let next = canon.len() as u32;
+        canon.entry(a.store).or_insert(next);
+    }
+    args.map(|(s, p, pr)| (canon[&s], p, pr)).collect()
 }
 
 /// Internal, mutable state of a [`Context`]. Exposed to the crate so that
@@ -285,23 +315,7 @@ impl ContextInner {
         let shape: &[u64] = &self.stores[&store].shape;
         match partition {
             Partition::Replicate => shape.iter().product::<u64>() as usize,
-            Partition::Tiling { .. } => {
-                let mut acc: Option<ir::Rect> = None;
-                for p in domain.points() {
-                    let r = partition.sub_store_bounds(shape, &p);
-                    if r.is_empty() {
-                        continue;
-                    }
-                    acc = Some(match acc {
-                        None => r,
-                        Some(prev) => ir::Rect::new(
-                            prev.lo.iter().zip(&r.lo).map(|(&a, &b)| a.min(b)).collect(),
-                            prev.hi.iter().zip(&r.hi).map(|(&a, &b)| a.max(b)).collect(),
-                        ),
-                    });
-                }
-                acc.map(|r| r.volume() as usize).unwrap_or(0)
-            }
+            Partition::Tiling { .. } => partition.bounding_box(shape, domain).volume() as usize,
         }
     }
 
@@ -660,20 +674,20 @@ impl ContextInner {
         backend.compile(module).expect("kernel compilation failed")
     }
 
-    /// Launches a single task without fusion. The module is compiled through
-    /// the configured backend but charges no simulated compile time: the
-    /// unfused baseline models a library of pre-compiled per-task kernels
-    /// (only fused windows pay the JIT, as in the paper).
+    /// Launches a single task without fusion through a one-task artifact:
+    /// the task's raw arguments (no merging, no temporaries) under its own
+    /// name. The module is compiled through the configured backend but runs
+    /// no pipeline and charges no simulated compile time: the unfused
+    /// baseline models a library of pre-compiled per-task kernels (only
+    /// fused windows pay the JIT, as in the paper).
     fn launch_unfused(&mut self, task: IndexTask) {
-        Self::collect_libraries(&mut self.lib_scratch, std::slice::from_ref(&task));
-        let arg_lens = self.task_arg_lens(&task);
-        let module = self.generate_task_module(&task, &arg_lens);
-        let max_arg = arg_lens.iter().copied().max().unwrap_or(1);
-        let num_locals = module.num_buffers() as usize - task.args.len();
-        let local_lens = vec![max_arg; num_locals];
+        let arg_volumes = self.task_arg_lens(&task);
+        let module = self.generate_task_module(&task, &arg_volumes);
+        let max_arg = arg_volumes.iter().copied().max().unwrap_or(1);
+        let generator_local_lens = vec![max_arg; module.num_buffers() as usize - task.args.len()];
         if self.config.enable_verification {
-            let mut lens = arg_lens;
-            lens.extend(local_lens.iter().copied());
+            let mut lens = arg_volumes.clone();
+            lens.extend(&generator_local_lens);
             let verdict = self
                 .verify_task_module(&task, &module, &lens)
                 .and_then(|()| self.verify_lowered(&task.name, &module));
@@ -685,41 +699,30 @@ impl ContextInner {
                 return;
             }
         }
-        let requirements: Vec<RegionRequirement> = task
-            .args
-            .iter()
-            .map(|a| {
-                let region = self.ensure_region(a.store);
-                RegionRequirement::new(region, a.partition, a.privilege)
-            })
-            .collect();
-        let launch = TaskLaunch {
-            name: task.name.clone(),
-            launch_domain: task.launch_domain.clone(),
-            requirements,
+        let tasks = std::slice::from_ref(&task);
+        let art = CompiledArtifact {
             kernel: self.compile_artifact(&task.name, &module),
-            scalars: task.scalars.clone(),
-            local_buffer_lens: local_lens,
-            overhead: OverheadClass::TaskRuntime,
+            name: task.name.clone(),
+            args: canonical_args(
+                tasks,
+                task.args.iter().map(|a| (a.store, a.partition, a.privilege)),
+            ),
+            is_temp: vec![false; task.args.len()],
+            arg_volumes,
+            generator_local_lens,
         };
-        let t0 = self.runtime.elapsed();
-        self.runtime.execute(&launch).expect("launch failed");
-        let delta = self.runtime.elapsed() - t0;
-        self.stats.tasks_launched += 1;
-        self.attribute_launch(1, delta);
+        let mut stores = task.args.iter().map(|a| a.store);
+        self.launch_artifact(&art, Binding::Drained(tasks, &mut stores));
     }
 
-    /// Composes, optimizes, compiles (or reuses a memoized compiled
-    /// artifact) and launches a fused task built from the first `prefix_len`
-    /// buffered tasks.
+    /// Launches the fused task of the first `prefix_len` buffered tasks.
     ///
-    /// On a memoization hit the backend is not consulted at all — the cached
-    /// `Arc<dyn CompiledKernel>` is launched directly and no compile time is
-    /// charged. On a miss the fused module is composed, optimized, remapped
-    /// into launch layout and compiled by the configured backend, which
-    /// prices the one-time work via [`KernelBackend::compile_cost`]; the
-    /// artifact is then memoized under `memo_key` (the canonical form of the
-    /// whole window at probe time).
+    /// On a memoization hit whose temporary layout still matches, the cached
+    /// artifact is relaunched directly: the backend is not consulted and no
+    /// compile time is charged. On a miss (or a liveness drift on a hit) the
+    /// artifact is built by [`ContextInner::fused_artifact`], memoized under
+    /// `memo_key` (the canonical form of the whole window at probe time) and
+    /// launched.
     fn launch_fused(
         &mut self,
         prefix_len: usize,
@@ -774,8 +777,24 @@ impl ContextInner {
                     temps.contains(&store) == was_temp
                 });
             if layout_matches {
-                let art = Arc::clone(art);
-                self.launch_from_skeleton(prefix_len, &art);
+                // A fingerprint probe found this skeleton; check the replayed
+                // structure actually matches the probe window (a fingerprint
+                // collision would be caught here, by construction).
+                if self.config.enable_verification {
+                    let prefix = &self.window.tasks()[..prefix_len];
+                    match fusion::verify_skeleton(prefix, &art.args) {
+                        Ok(checks) => self.stats.verification_checks += checks as u64,
+                        Err(e) => {
+                            let detail = format!(
+                                "memo-replayed skeleton `{}` does not match the probe window: {e}",
+                                art.name
+                            );
+                            self.poison_fused_prefix(prefix_len, detail);
+                            return;
+                        }
+                    }
+                }
+                self.launch_artifact(art, Binding::Window(prefix_len));
                 return;
             }
         }
@@ -791,51 +810,43 @@ impl ContextInner {
                 None
             }
         });
-        Self::collect_libraries(&mut self.lib_scratch, &self.window.tasks()[..prefix_len]);
-        let prefix = self.window.drain_prefix(prefix_len);
-        let fused = FusedTask::build(prefix);
+        let fused = FusedTask::build(self.window.drain_prefix(prefix_len));
+        let Some(art) = self.fused_artifact(&fused, &temps) else {
+            return;
+        };
+        let art = Arc::new(art);
+        if let Some(key) = memo_key {
+            // (Re)memoize the launch skeleton so the next isomorphic window
+            // relaunches it without rebuilding any of it.
+            let compiled = Arc::clone(&art);
+            self.memo.insert(key, MemoEntry { prefix_len, compiled });
+        }
+        let mut stores = fused.args.iter().map(|a| a.0);
+        self.launch_artifact(&art, Binding::Drained(&fused.tasks, &mut stores));
+    }
 
-        // Which fused args are temporaries (become task-local buffers).
+    /// Builds the artifact of a fused task: composes and optimizes the
+    /// constituent kernels, lays the buffers out for launch (region
+    /// requirements first, then temporaries, then generator-introduced
+    /// locals) and compiles. Returns `None` when a contained verification
+    /// failure poisoned the task instead.
+    fn fused_artifact(
+        &mut self,
+        fused: &FusedTask,
+        temps: &HashSet<StoreId>,
+    ) -> Option<CompiledArtifact> {
         let is_temp: Vec<bool> = fused.args.iter().map(|(s, _, _)| temps.contains(s)).collect();
-        let domain = &fused.launch_domain;
         let arg_volumes: Vec<usize> = fused
             .args
             .iter()
-            .map(|(s, p, _)| self.access_volume(*s, p, domain))
+            .map(|(s, p, _)| self.access_volume(*s, p, &fused.launch_domain))
             .collect();
-        let max_vol = arg_volumes.iter().copied().max().unwrap_or(1);
-
-        // Launch buffer layout: non-temporary args first (they become region
-        // requirements), then temporary args (task-local buffers), then
-        // generator-introduced locals.
-        let build_remap = |num_generator_locals: usize| -> Vec<BufferId> {
-            let mut remap = vec![BufferId(0); fused.args.len() + num_generator_locals];
-            let mut next = 0u32;
-            for (i, _) in fused.args.iter().enumerate() {
-                if !is_temp[i] {
-                    remap[i] = BufferId(next);
-                    next += 1;
-                }
-            }
-            for (i, _) in fused.args.iter().enumerate() {
-                if is_temp[i] {
-                    remap[i] = BufferId(next);
-                    next += 1;
-                }
-            }
-            for j in 0..num_generator_locals {
-                remap[fused.args.len() + j] = BufferId(next);
-                next += 1;
-            }
-            remap
-        };
-
         let (module, generator_local_lens) =
-            match self.compose_and_optimize(&fused, &is_temp, &arg_volumes) {
+            match self.compose_and_optimize(fused, &is_temp, &arg_volumes) {
                 Ok(v) => v,
                 Err(detail) => {
-                    self.poison_fused(&fused, detail);
-                    return;
+                    self.poison_fused(fused, detail);
+                    return None;
                 }
             };
         if self.config.enable_verification {
@@ -843,7 +854,7 @@ impl ContextInner {
             // IR invariants against the concrete buffer lengths the pipeline
             // was given.
             let mut lens = arg_volumes.clone();
-            lens.extend(generator_local_lens.iter().copied());
+            lens.extend(&generator_local_lens);
             match kernel::verify::verify_module(&module, Some(&lens)) {
                 Ok(checks) => self.stats.verification_checks += checks as u64,
                 Err(e) => {
@@ -851,165 +862,89 @@ impl ContextInner {
                         "optimized module of `{}` violates an IR invariant: {e}",
                         fused.name
                     );
-                    self.poison_fused(&fused, detail);
-                    return;
+                    self.poison_fused(fused, detail);
+                    return None;
                 }
             }
         }
-        let remap = build_remap(generator_local_lens.len());
+        let num_args = fused.args.len();
+        let launch_order = (0..num_args)
+            .filter(|&i| !is_temp[i])
+            .chain((0..num_args).filter(|&i| is_temp[i]))
+            .chain(num_args..num_args + generator_local_lens.len());
+        let mut remap = vec![BufferId(0); num_args + generator_local_lens.len()];
+        for (next, i) in launch_order.enumerate() {
+            remap[i] = BufferId(next as u32);
+        }
         let module = module.remap_buffers(&remap);
         if self.config.enable_verification {
             // The launch-layout module is what the backend actually lowers.
             if let Err(detail) = self.verify_lowered(&fused.name, &module) {
-                self.poison_fused(&fused, detail);
-                return;
+                self.poison_fused(fused, detail);
+                return None;
             }
         }
-        let kernel = self.compile_artifact(&fused.name, &module);
-        if let Some(key) = memo_key {
-            // (Re)memoize the complete launch skeleton so the next
-            // isomorphic window relaunches without rebuilding any of it.
-            // Canonical indices are assigned by first occurrence across the
-            // prefix (a prefix of the window numbering the probe verifies
-            // against).
-            let mut canon: HashMap<StoreId, u32> = HashMap::new();
-            for t in &fused.tasks {
-                for a in &t.args {
-                    let next = canon.len() as u32;
-                    canon.entry(a.store).or_insert(next);
-                }
-            }
-            let canonical_args: Vec<(u32, PartitionId, Privilege)> = fused
-                .args
-                .iter()
-                .map(|(s, p, pr)| (canon[s], *p, *pr))
-                .collect();
-            self.memo.insert(
-                key,
-                MemoEntry {
-                    prefix_len,
-                    compiled: Arc::new(CompiledArtifact {
-                        kernel: Arc::clone(&kernel),
-                        name: fused.name.clone(),
-                        args: canonical_args,
-                        arg_volumes: arg_volumes.clone(),
-                        max_vol,
-                        is_temp: is_temp.clone(),
-                        num_generator_locals: generator_local_lens.len(),
-                    }),
-                },
-            );
-        }
-
-        let mut requirements = Vec::new();
-        let mut local_lens = Vec::new();
-        for (i, (store, part, priv_)) in fused.args.iter().enumerate() {
-            if !is_temp[i] {
-                let region = self.ensure_region(*store);
-                requirements.push(RegionRequirement::new(region, *part, *priv_));
-            }
-        }
-        for (i, _) in fused.args.iter().enumerate() {
-            if is_temp[i] {
-                local_lens.push(arg_volumes[i].max(1));
-            }
-        }
-        for &len in &generator_local_lens {
-            local_lens.push(len.max(1));
-        }
-
-        // Statistics for temporaries whose distributed allocation never
-        // happened.
-        for (i, (store, _, _)) in fused.args.iter().enumerate() {
-            if is_temp[i] {
-                self.stats.temporaries_eliminated += 1;
-                if self.stores[store].region.is_none() {
-                    self.stats.distributed_allocations_avoided += 1;
-                }
-            }
-        }
-
-        let scalars: Vec<f64> = fused
-            .tasks
-            .iter()
-            .flat_map(|t| t.scalars.iter().copied())
-            .collect();
-        let launch = TaskLaunch {
+        Some(CompiledArtifact {
+            kernel: self.compile_artifact(&fused.name, &module),
             name: fused.name.clone(),
-            launch_domain: fused.launch_domain.clone(),
-            requirements,
-            kernel,
-            scalars,
-            local_buffer_lens: local_lens,
-            overhead: OverheadClass::TaskRuntime,
-        };
-        let t0 = self.runtime.elapsed();
-        self.runtime.execute(&launch).expect("fused launch failed");
-        let delta = self.runtime.elapsed() - t0;
-        self.stats.tasks_launched += 1;
-        if fused.len() > 1 {
-            self.stats.fused_tasks += 1;
-        }
-        self.attribute_launch(prefix_len as u32, delta);
+            args: canonical_args(&fused.tasks, fused.args.iter().copied()),
+            arg_volumes,
+            is_temp,
+            generator_local_lens,
+        })
     }
 
-    /// The memoization-hit fast path: instantiates a cached launch skeleton
-    /// against the current window's concrete stores. No fused task is built,
-    /// no access volumes are computed and no name is assembled — the only
-    /// per-launch work is resolving canonical indices to store ids, ensuring
-    /// backing regions and gathering scalars.
-    fn launch_from_skeleton(&mut self, prefix_len: usize, art: &CompiledArtifact) {
-        Self::collect_libraries(&mut self.lib_scratch, &self.window.tasks()[..prefix_len]);
-        // A fingerprint probe found this skeleton; check the replayed
-        // structure actually matches the probe window (a fingerprint
-        // collision would be caught here, by construction).
-        if self.config.enable_verification {
-            match fusion::verify_skeleton(&self.window.tasks()[..prefix_len], &art.args) {
-                Ok(checks) => self.stats.verification_checks += checks as u64,
-                Err(e) => {
-                    let detail = format!(
-                        "memo-replayed skeleton `{}` does not match the probe window: {e}",
-                        art.name
-                    );
-                    self.poison_fused_prefix(prefix_len, detail);
-                    return;
-                }
-            }
-        }
-        let prefix = &self.window.tasks()[..prefix_len];
-        let launch_domain = prefix[0].launch_domain.clone();
+    /// The single launch path: instantiates `art` against the concrete
+    /// stores `binding` names and hands it to the runtime. Memo hits, memo
+    /// misses and unfused tasks all launch here; it is the only code that
+    /// builds region requirements and local buffer lengths, assembles a
+    /// [`TaskLaunch`], calls the runtime and counts the launch. The
+    /// requirement, scalar, buffer-length and store vectors are recovered
+    /// from the executed launch and reused, so a steady stream of memo hits
+    /// allocates none of them.
+    fn launch_artifact(&mut self, art: &CompiledArtifact, binding: Binding<'_>) {
+        let mut stores = std::mem::take(&mut self.store_scratch);
         let mut scalars = std::mem::take(&mut self.scalar_scratch);
-        scalars.extend(prefix.iter().flat_map(|t| t.scalars.iter().copied()));
-        // Resolve the skeleton's canonical store indices against this window
-        // before draining (draining renumbers the remaining suffix).
-        let mut arg_stores = std::mem::take(&mut self.store_scratch);
-        arg_stores.extend(art.args.iter().map(|(ci, _, _)| {
-            self.window
-                .canonical_store(*ci as usize)
-                .expect("cached entry verified against this window")
-        }));
-        drop(self.window.drain_prefix(prefix_len));
+        let (launch_domain, num_tasks) = match binding {
+            Binding::Window(n) => {
+                let prefix = &self.window.tasks()[..n];
+                Self::collect_libraries(&mut self.lib_scratch, prefix);
+                scalars.extend(prefix.iter().flat_map(|t| t.scalars.iter().copied()));
+                let domain = prefix[0].launch_domain.clone();
+                // Resolve before draining (draining renumbers the suffix).
+                stores.extend(art.args.iter().map(|(ci, _, _)| {
+                    self.window
+                        .canonical_store(*ci as usize)
+                        .expect("cached entry verified against this window")
+                }));
+                drop(self.window.drain_prefix(n));
+                (domain, n)
+            }
+            Binding::Drained(tasks, arg_stores) => {
+                Self::collect_libraries(&mut self.lib_scratch, tasks);
+                scalars.extend(tasks.iter().flat_map(|t| t.scalars.iter().copied()));
+                stores.extend(arg_stores);
+                (tasks[0].launch_domain.clone(), tasks.len())
+            }
+        };
 
         let mut requirements = std::mem::take(&mut self.req_scratch);
         let mut local_lens = std::mem::take(&mut self.len_scratch);
-        for (i, ((_, part, priv_), store)) in art.args.iter().zip(&arg_stores).enumerate() {
-            if !art.is_temp[i] {
-                let region = self.ensure_region(*store);
-                requirements.push(RegionRequirement::new(region, *part, *priv_));
-            }
-        }
-        for (i, store) in arg_stores.iter().enumerate() {
+        for (i, (&store, (_, part, privilege))) in stores.iter().zip(&art.args).enumerate() {
             if art.is_temp[i] {
+                // A task-local buffer; count it as a distributed allocation
+                // avoided if the store never had a region.
                 local_lens.push(art.arg_volumes[i].max(1));
                 self.stats.temporaries_eliminated += 1;
-                if self.stores[store].region.is_none() {
+                if self.stores[&store].region.is_none() {
                     self.stats.distributed_allocations_avoided += 1;
                 }
+            } else {
+                let region = self.ensure_region(store);
+                requirements.push(RegionRequirement::new(region, *part, *privilege));
             }
         }
-        for _ in 0..art.num_generator_locals {
-            local_lens.push(art.max_vol.max(1));
-        }
+        local_lens.extend(art.generator_local_lens.iter().map(|&len| len.max(1)));
 
         let launch = TaskLaunch {
             name: art.name.clone(),
@@ -1021,11 +956,8 @@ impl ContextInner {
             overhead: OverheadClass::TaskRuntime,
         };
         let t0 = self.runtime.elapsed();
-        self.runtime.execute(&launch).expect("fused launch failed");
+        self.runtime.execute(&launch).expect("launch failed");
         let delta = self.runtime.elapsed() - t0;
-        // Recover the launch's vectors for the next replay: this path is the
-        // steady state, and reuse keeps it free of per-launch allocations
-        // for requirements, scalars and buffer lengths.
         let TaskLaunch {
             mut requirements,
             mut scalars,
@@ -1035,16 +967,16 @@ impl ContextInner {
         requirements.clear();
         scalars.clear();
         local_buffer_lens.clear();
-        arg_stores.clear();
+        stores.clear();
         self.req_scratch = requirements;
         self.scalar_scratch = scalars;
         self.len_scratch = local_buffer_lens;
-        self.store_scratch = arg_stores;
+        self.store_scratch = stores;
         self.stats.tasks_launched += 1;
-        if prefix_len > 1 {
+        if num_tasks > 1 {
             self.stats.fused_tasks += 1;
         }
-        self.attribute_launch(prefix_len as u32, delta);
+        self.attribute_launch(num_tasks as u32, delta);
     }
 
     /// Generates every constituent task's kernel, composes them in program
@@ -1125,6 +1057,19 @@ impl ContextInner {
         // partitions must not be loop-fused (they may overlap in memory).
         let compiled = Pipeline::new(pipeline_config).run(module, &lens);
         Ok((compiled.module, generator_local_lens))
+    }
+
+    /// Waits for outstanding launches before the host touches region data.
+    /// A failed batch's records are kept for [`Context::take_failures`];
+    /// the failure is contained — and the caller proceeds — when a fault
+    /// plan is set or `verify_fail_fast` is off. Otherwise it panics.
+    fn sync_launches(&mut self) {
+        if let Err(e) = self.runtime.flush_launches() {
+            let failures = self.runtime.take_failures();
+            self.batch_failures.extend(failures);
+            let contained = self.runtime.fault_plan().is_some() || !self.config.verify_fail_fast;
+            assert!(contained, "deferred launch failed: {e}");
+        }
     }
 
     /// Processes the entire buffered window: repeatedly extract a fusible
@@ -1430,10 +1375,16 @@ impl Context {
 
     /// Fills a store with a constant value (flushes pending tasks first to
     /// preserve program order).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a failed pending launch unless failures are contained (see
+    /// [`Context::read_store`]).
     pub fn fill(&self, store: &StoreHandle, value: f64) {
         self.flush();
         let mut inner = self.inner.borrow_mut();
         let region = inner.ensure_region(store.id);
+        inner.sync_launches();
         inner.runtime.fill(region, value).expect("fill failed");
     }
 
@@ -1442,11 +1393,14 @@ impl Context {
     ///
     /// # Panics
     ///
-    /// Panics if the data length does not match the store volume.
+    /// Panics if the data length does not match the store volume, or on a
+    /// failed pending launch unless failures are contained (see
+    /// [`Context::read_store`]).
     pub fn write_store(&self, store: &StoreHandle, data: Vec<f64>) {
         self.flush();
         let mut inner = self.inner.borrow_mut();
         let region = inner.ensure_region(store.id);
+        inner.sync_launches();
         inner
             .runtime
             .write_region_data(region, data)
@@ -1468,13 +1422,7 @@ impl Context {
         self.flush();
         let mut inner = self.inner.borrow_mut();
         let region = inner.ensure_region(store.id);
-        if let Err(e) = inner.runtime.flush_launches() {
-            let failures = inner.runtime.take_failures();
-            inner.batch_failures.extend(failures);
-            let contained =
-                inner.runtime.fault_plan().is_some() || !inner.config.verify_fail_fast;
-            assert!(contained, "deferred launch failed: {e}");
-        }
+        inner.sync_launches();
         inner.runtime.region_data(region)
     }
 
@@ -2239,6 +2187,46 @@ mod tests {
         // Recovery left nothing abandoned.
         assert_eq!(simd_stats.abandoned_launches, 0);
         assert!(ctx_with_gpus(1).take_failures().is_empty());
+    }
+
+    #[test]
+    fn fill_and_write_store_proceed_after_a_contained_fault() {
+        use runtime::{FaultPlan, RecoveryPolicy, RuntimeError};
+        // With recovery off, every launch at rate 1.0 fails and is contained.
+        // Host writes to independent stores flush those failures first; they
+        // must land rather than re-raise the failure as a panic.
+        let ctx = Context::new(
+            DiffuseConfig::fused(MachineConfig::with_gpus(4))
+                .with_fault_plan(FaultPlan::new(3, 1.0))
+                .with_recovery(RecoveryPolicy::disabled()),
+        );
+        let scale = register_scale(&ctx);
+        let n = 32u64;
+        let p = block(n, 4);
+        let x = ctx.create_store(vec![n], "x");
+        let y = ctx.create_store(vec![n], "y");
+        let launch_scale = || {
+            let args = vec![
+                StoreArg::new(x.id(), p.clone(), Privilege::Read),
+                StoreArg::new(y.id(), p.clone(), Privilege::Write),
+            ];
+            ctx.submit(scale, "scale", args, vec![2.0]);
+            ctx.flush();
+        };
+        launch_scale();
+        let filled = ctx.create_store(vec![n], "filled");
+        ctx.fill(&filled, 5.0);
+        launch_scale();
+        let written = ctx.create_store(vec![n], "written");
+        let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        ctx.write_store(&written, data.clone());
+
+        assert_eq!(ctx.read_store(&filled).unwrap(), vec![5.0; n as usize]);
+        assert_eq!(ctx.read_store(&written).unwrap(), data);
+        let failures = ctx.take_failures();
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures.iter().all(|f| f.launch == "fused[scale]"));
+        assert!(matches!(failures[0].error, RuntimeError::Faulted(_)));
     }
 
     #[test]

@@ -187,6 +187,29 @@ impl Partition {
             }
         }
     }
+
+    /// The bounding box of every sub-store a launch over `launch_domain`
+    /// accesses in a store with shape `store_shape`: the union of the
+    /// non-empty [`Partition::sub_store_bounds`] over the domain's points,
+    /// or an empty rectangle when every sub-store is empty. Enumerates the
+    /// points, so it costs O(points).
+    pub fn bounding_box(&self, store_shape: &[u64], launch_domain: &crate::Domain) -> Rect {
+        let mut acc: Option<Rect> = None;
+        for p in launch_domain.points() {
+            let r = self.sub_store_bounds(store_shape, &p);
+            if r.is_empty() {
+                continue;
+            }
+            acc = Some(match acc {
+                None => r,
+                Some(prev) => Rect::new(
+                    prev.lo.iter().zip(&r.lo).map(|(&a, &b)| a.min(b)).collect(),
+                    prev.hi.iter().zip(&r.hi).map(|(&a, &b)| a.max(b)).collect(),
+                ),
+            });
+        }
+        acc.unwrap_or_else(|| Rect::empty(store_shape.len()))
+    }
 }
 
 impl std::fmt::Display for Partition {
@@ -323,6 +346,55 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, Partition::Replicate);
+    }
+
+    #[test]
+    fn bounding_box_of_block_tiling_is_the_whole_store() {
+        let p = Partition::block(vec![2, 2]);
+        assert_eq!(
+            p.bounding_box(&[4, 4], &Domain::new(vec![2, 2])),
+            Rect::new(vec![0, 0], vec![4, 4])
+        );
+        // A domain that reaches only the first tile row bounds half the store.
+        assert_eq!(
+            p.bounding_box(&[4, 4], &Domain::new(vec![1, 2])),
+            Rect::new(vec![0, 0], vec![2, 4])
+        );
+    }
+
+    #[test]
+    fn bounding_box_of_offset_tiling_shifts_and_clips() {
+        // Tiles of 3 shifted by 1 over 4 points: [1,4), [4,7), [7,10), [10,12)
+        // clipped at the store's end; the leading element is never touched.
+        let p = Partition::tiling(vec![3], vec![1], Projection::Identity);
+        let bb = p.bounding_box(&[12], &Domain::linear(4));
+        assert_eq!(bb, Rect::new(vec![1], vec![12]));
+        assert_eq!(bb.volume(), 11);
+    }
+
+    #[test]
+    fn bounding_box_of_ragged_tiling_stops_at_the_clipped_edge_tile() {
+        // 10 elements in tiles of 4 over 4 points: the third tile is clipped
+        // to [8,10) and the fourth is empty, so it adds nothing.
+        let p = Partition::block(vec![4]);
+        assert!(p.sub_store_bounds(&[10], &[3]).is_empty());
+        assert_eq!(
+            p.bounding_box(&[10], &Domain::linear(4)),
+            Rect::new(vec![0], vec![10])
+        );
+        // Only empty tiles: the box is empty.
+        let past_end = Partition::tiling(vec![4], vec![16], Projection::Identity);
+        let bb = past_end.bounding_box(&[10], &Domain::linear(2));
+        assert!(bb.is_empty());
+        assert_eq!(bb.volume(), 0);
+    }
+
+    #[test]
+    fn bounding_box_of_replicated_partition_is_the_store() {
+        assert_eq!(
+            Partition::Replicate.bounding_box(&[6, 3], &Domain::linear(5)),
+            Rect::new(vec![0, 0], vec![6, 3])
+        );
     }
 
     #[test]

@@ -1012,29 +1012,7 @@ impl Runtime {
     fn access_rect(&self, launch: &TaskLaunch, req_idx: usize) -> Rect {
         let req = &launch.requirements[req_idx];
         let shape = self.regions[&req.region].shape();
-        let mut acc: Option<Rect> = None;
-        for p in launch.launch_domain.points() {
-            let r = req.partition.sub_store_bounds(shape, &p);
-            if r.is_empty() {
-                continue;
-            }
-            acc = Some(match acc {
-                None => r,
-                Some(prev) => Rect::new(
-                    prev.lo
-                        .iter()
-                        .zip(&r.lo)
-                        .map(|(&a, &b)| a.min(b))
-                        .collect(),
-                    prev.hi
-                        .iter()
-                        .zip(&r.hi)
-                        .map(|(&a, &b)| a.max(b))
-                        .collect(),
-                ),
-            });
-        }
-        acc.unwrap_or_else(|| Rect::empty(shape.len()))
+        req.partition.bounding_box(shape, &launch.launch_domain)
     }
 }
 
