@@ -332,8 +332,11 @@ impl ContextInner {
         region
     }
 
-    /// Frees regions of stores with no application references once the window
-    /// no longer mentions them.
+    /// Forgets every store the application no longer references once the
+    /// window no longer mentions it: its metadata is removed and its region,
+    /// if it ever got one, is freed. Nothing can name such a store again, so
+    /// `stores` holds only live and pending stores however long the session
+    /// runs.
     fn sweep_dead_stores(&mut self) {
         let pending: HashSet<StoreId> = self
             .window
@@ -341,17 +344,16 @@ impl ContextInner {
             .iter()
             .flat_map(|t| t.stores())
             .collect();
-        let dead: Vec<StoreId> = self
-            .stores
-            .iter()
-            .filter(|(id, m)| m.app_refs == 0 && m.region.is_some() && !pending.contains(id))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in dead {
-            if let Some(region) = self.stores.get_mut(&id).and_then(|m| m.region.take()) {
-                let _ = self.runtime.free_region(region);
+        let runtime = &mut self.runtime;
+        self.stores.retain(|id, m| {
+            if m.app_refs > 0 || pending.contains(id) {
+                return true;
             }
-        }
+            if let Some(region) = m.region {
+                let _ = runtime.free_region(region);
+            }
+            false
+        });
     }
 
     /// Access volume of each of a task's store arguments over its launch
@@ -1688,6 +1690,59 @@ mod tests {
         assert_eq!(stats.tasks_submitted, 2);
         assert_eq!(stats.tasks_launched, 1);
         assert_eq!(stats.fused_tasks, 1);
+    }
+
+    #[test]
+    fn long_sessions_keep_store_state_bounded() {
+        // Every iteration computes r = s · (a + b) through a dropped
+        // intermediate and keeps the previous iteration's result alive for
+        // one more iteration. Dead stores must be forgotten, not only
+        // unmapped, so the store map stays the size of the live set.
+        let ctx = ctx_with_gpus(4);
+        let add = register_add(&ctx);
+        let scale = register_scale(&ctx);
+        let n = 16u64;
+        let p = block(n, 4);
+        let a = ctx.create_store(vec![n], "a");
+        let b = ctx.create_store(vec![n], "b");
+        ctx.write_store(&a, (0..n).map(|i| i as f64).collect());
+        ctx.fill(&b, 1.0);
+        let expected = |s: f64| (0..n).map(|i| s * (i as f64 + 1.0)).collect::<Vec<_>>();
+        let mut prev: Option<(StoreHandle, f64)> = None;
+        for i in 0..10_000u32 {
+            let s = (i % 7) as f64;
+            let t = ctx.create_store(vec![n], "t");
+            let r = ctx.create_store(vec![n], "r");
+            ctx.submit(
+                add,
+                "add",
+                vec![
+                    StoreArg::new(a.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(b.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(t.id(), p.clone(), Privilege::Write),
+                ],
+                vec![],
+            );
+            ctx.submit(
+                scale,
+                "scale",
+                vec![
+                    StoreArg::new(t.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(r.id(), p.clone(), Privilege::Write),
+                ],
+                vec![s],
+            );
+            drop(t);
+            if let Some((old, s_old)) = prev.replace((r, s)) {
+                assert_eq!(ctx.read_store(&old).unwrap(), expected(s_old), "iteration {i}");
+            }
+            let live = ctx.inner.borrow().stores.len();
+            assert!(live <= 8, "iteration {i}: {live} stores tracked");
+        }
+        let (last, s_last) = prev.unwrap();
+        assert_eq!(ctx.read_store(&last).unwrap(), expected(s_last));
+        assert_eq!(ctx.read_store(&a).unwrap(), (0..n).map(|i| i as f64).collect::<Vec<_>>());
+        assert_eq!(ctx.read_store(&b).unwrap(), vec![1.0; n as usize]);
     }
 
     #[test]

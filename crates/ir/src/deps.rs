@@ -6,12 +6,79 @@
 //! tests that check the scale-free fusion constraints of the `fusion` crate
 //! against these definitions (soundness: whenever the constraints admit
 //! fusion, the ground-truth dependence map must be at most point-wise).
+//!
+//! The enumerating tiling geometry ([`covers_by_enumeration`],
+//! [`bounding_box_by_enumeration`]) lives here too: it is the reference the
+//! closed forms of [`Partition::covers`] and [`Partition::bounding_box`] are
+//! tested against, and their fallback for projections without a closed
+//! form.
 
 use std::collections::HashMap;
 
-use crate::domain::{Point, Rect};
+use crate::domain::{Domain, Point, Rect};
+use crate::partition::Partition;
 use crate::store::StoreId;
 use crate::task::{IndexTask, Privilege};
+
+/// Reference `covers` (Definition 4) by enumeration: materializes every
+/// launch point's sub-store, rejects any overlap between two of them, and
+/// compares the summed volumes with the store's. O(points²).
+///
+/// [`Partition::covers`] answers the same question in closed form for the
+/// tilings the libraries emit and falls back to this function for the rest
+/// (`SelectDims`, `Constant` and truncating `PadZeros` projections).
+pub fn covers_by_enumeration(
+    partition: &Partition,
+    store_shape: &[u64],
+    launch_domain: &Domain,
+) -> bool {
+    match partition {
+        Partition::Replicate => true,
+        Partition::Tiling { .. } => {
+            let total: u64 = store_shape.iter().product();
+            let mut covered: u64 = 0;
+            let mut rects: Vec<Rect> = Vec::new();
+            for p in launch_domain.points() {
+                let r = partition.sub_store_bounds(store_shape, &p);
+                if rects.iter().any(|prev| prev.overlaps(&r)) {
+                    return false;
+                }
+                covered += r.volume();
+                rects.push(r);
+            }
+            covered == total
+        }
+    }
+}
+
+/// Reference bounding box by enumeration: the union of the non-empty
+/// sub-stores over every launch point, or an empty rectangle when all are
+/// empty. O(points).
+///
+/// [`Partition::bounding_box`] computes the same rectangle in closed form
+/// for replication and the tilings the libraries emit, and falls back to
+/// this function for the rest.
+pub fn bounding_box_by_enumeration(
+    partition: &Partition,
+    store_shape: &[u64],
+    launch_domain: &Domain,
+) -> Rect {
+    let mut acc: Option<Rect> = None;
+    for p in launch_domain.points() {
+        let r = partition.sub_store_bounds(store_shape, &p);
+        if r.is_empty() {
+            continue;
+        }
+        acc = Some(match acc {
+            None => r,
+            Some(prev) => Rect::new(
+                prev.lo.iter().zip(&r.lo).map(|(&a, &b)| a.min(b)).collect(),
+                prev.hi.iter().zip(&r.hi).map(|(&a, &b)| a.max(b)).collect(),
+            ),
+        });
+    }
+    acc.unwrap_or_else(|| Rect::empty(store_shape.len()))
+}
 
 /// The materialized sub-stores accessed by one point task: for each argument,
 /// the (store, privilege, bounds) triple.

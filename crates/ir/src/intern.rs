@@ -9,8 +9,8 @@
 //! * [`PartitionId`] — a hash-consed [`Partition`]. Two ids are equal **iff**
 //!   the partitions are structurally equal, so the fusion constraints' alias
 //!   check is a register compare. The id dereferences to the interned
-//!   partition for the few scale-aware operations (`sub_store_bounds`,
-//!   `covers`) that need the structure.
+//!   partition for the geometry operations (`sub_store_bounds`, `covers`,
+//!   `bounding_box`) that need the structure.
 //! * [`ShapeId`] — an interned store shape (`[u64]`). Stamped onto task
 //!   arguments by the Diffuse context so the analysis (canonicalization,
 //!   temporary-store elimination) never needs a side `StoreId -> shape` map.

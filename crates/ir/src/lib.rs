@@ -19,6 +19,15 @@
 //! lower-level runtime: the fusion analysis in the `fusion` crate never
 //! materializes dependence maps.
 //!
+//! The tiling geometry the analyses and the runtime query per launch is
+//! scale-free as well. [`Partition::covers`] and [`Partition::bounding_box`]
+//! are closed forms in O(dims) for replication and for `Identity` and
+//! `PadZeros` tilings — per dimension the tiles of a launch span one
+//! contiguous run clipped to the store. Their enumerating references,
+//! [`deps::covers_by_enumeration`] and [`deps::bounding_box_by_enumeration`],
+//! visit every launch point; tests check the closed forms against them, and
+//! they remain the path for the projections no library emits.
+//!
 //! # Example
 //!
 //! ```

@@ -8,7 +8,8 @@
 //! by the fusion constraints) in constant time, without enumerating
 //! sub-stores.
 
-use crate::domain::{Point, Rect};
+use crate::deps;
+use crate::domain::{Domain, Point, Rect};
 
 /// A projection function applied to a launch-domain point before the tile
 /// bounds are computed (Figure 3d–3e).
@@ -160,55 +161,130 @@ impl Partition {
         }
     }
 
+    /// The number of elements in [`Partition::sub_store_bounds`]`(store_shape,
+    /// point)`, computed per dimension without building the rectangle. The
+    /// runtime prices every launch point's kernel with it, so it allocates
+    /// nothing.
+    pub fn sub_store_volume(&self, store_shape: &[u64], point: &[i64]) -> u64 {
+        let Partition::Tiling { tile, offset, proj } = self else {
+            return store_shape.iter().product();
+        };
+        assert_eq!(
+            proj.output_rank(point.len()),
+            tile.len(),
+            "projected point rank must match tile rank"
+        );
+        assert_eq!(store_shape.len(), tile.len(), "rank mismatch in intersect");
+        let mut volume = 1u64;
+        for (d, ((&t, &o), &s)) in tile.iter().zip(offset).zip(store_shape).enumerate() {
+            let q = match proj {
+                Projection::Identity => point[d],
+                Projection::SelectDims(dims) => point[dims[d]],
+                Projection::Constant(c) => c[d],
+                Projection::PadZeros { .. } => point.get(d).copied().unwrap_or(0),
+            };
+            let lo = (q * t as i64 + o).max(0);
+            let hi = ((q + 1) * t as i64 + o).min(s as i64);
+            volume *= (hi - lo).max(0) as u64;
+        }
+        volume
+    }
+
     /// Whether the partition covers every element of a store with shape
     /// `store_shape` when launched over `launch_domain` — the `covers`
-    /// predicate used by temporary-store elimination (Definition 4).
-    pub fn covers(&self, store_shape: &[u64], launch_domain: &crate::Domain) -> bool {
-        match self {
-            Partition::Replicate => true,
-            Partition::Tiling { .. } => {
-                let total: u64 = store_shape.iter().product();
-                let mut covered: u64 = 0;
-                // Tilings produced by the libraries are disjoint; summing
-                // clamped tile volumes is exact for disjoint tiles and a safe
-                // underestimate otherwise (covers() may return false
-                // negatives, never false positives, for aliased tilings this
-                // conservative answer is acceptable).
-                let mut rects: Vec<Rect> = Vec::new();
-                for p in launch_domain.points() {
-                    let r = self.sub_store_bounds(store_shape, &p);
-                    if rects.iter().any(|prev| prev.overlaps(&r)) {
-                        return false;
-                    }
-                    covered += r.volume();
-                    rects.push(r);
-                }
-                covered == total
+    /// predicate used by temporary-store elimination (Definition 4): the
+    /// launch's sub-stores are pairwise disjoint and together hold every
+    /// element of the store.
+    ///
+    /// Replication always covers. For `Identity` tilings and `PadZeros`
+    /// tilings that keep every domain dimension this is a closed form in
+    /// O(dims): the projection is injective, so the tiles never overlap, and
+    /// per dimension they form the contiguous run `[o, E·t + o)` (`t` the
+    /// tile extent, `o` the offset, `E` the domain extent, 1 for a padded
+    /// dimension), clipped to `[0, S)`. The partition covers the store when
+    /// the product of the clipped run lengths equals the store volume. Other
+    /// projections fall back to [`deps::covers_by_enumeration`], which
+    /// checks every pair of launch points; that function is also the
+    /// reference the closed form is tested against.
+    pub fn covers(&self, store_shape: &[u64], launch_domain: &Domain) -> bool {
+        if self.is_replicate() {
+            return true;
+        }
+        match self.tile_runs(store_shape, launch_domain) {
+            Some(runs) => {
+                let covered: u64 = runs.map(|(lo, hi)| (hi - lo).max(0) as u64).product();
+                covered == store_shape.iter().product::<u64>()
             }
+            None => deps::covers_by_enumeration(self, store_shape, launch_domain),
         }
     }
 
     /// The bounding box of every sub-store a launch over `launch_domain`
     /// accesses in a store with shape `store_shape`: the union of the
     /// non-empty [`Partition::sub_store_bounds`] over the domain's points,
-    /// or an empty rectangle when every sub-store is empty. Enumerates the
-    /// points, so it costs O(points).
-    pub fn bounding_box(&self, store_shape: &[u64], launch_domain: &crate::Domain) -> Rect {
-        let mut acc: Option<Rect> = None;
-        for p in launch_domain.points() {
-            let r = self.sub_store_bounds(store_shape, &p);
-            if r.is_empty() {
-                continue;
+    /// or an empty rectangle when every sub-store is empty.
+    ///
+    /// For replication it is the store itself (when the domain has a point),
+    /// and for the tilings [`Partition::covers`] handles in closed form it is
+    /// the per-dimension clipped tile run, both in O(dims). Other projections
+    /// fall back to the enumerating reference,
+    /// [`deps::bounding_box_by_enumeration`].
+    pub fn bounding_box(&self, store_shape: &[u64], launch_domain: &Domain) -> Rect {
+        let rect = if self.is_replicate() {
+            if launch_domain.is_empty() {
+                return Rect::empty(store_shape.len());
             }
-            acc = Some(match acc {
-                None => r,
-                Some(prev) => Rect::new(
-                    prev.lo.iter().zip(&r.lo).map(|(&a, &b)| a.min(b)).collect(),
-                    prev.hi.iter().zip(&r.hi).map(|(&a, &b)| a.max(b)).collect(),
-                ),
-            });
+            Domain::new(store_shape.to_vec()).to_rect()
+        } else {
+            match self.tile_runs(store_shape, launch_domain) {
+                Some(runs) => {
+                    let (lo, hi) = runs.unzip();
+                    Rect::new(lo, hi)
+                }
+                None => return deps::bounding_box_by_enumeration(self, store_shape, launch_domain),
+            }
+        };
+        if rect.is_empty() {
+            Rect::empty(store_shape.len())
+        } else {
+            rect
         }
-        acc.unwrap_or_else(|| Rect::empty(store_shape.len()))
+    }
+
+    /// The closed-form tiling geometry behind [`Partition::covers`] and
+    /// [`Partition::bounding_box`]: per store dimension, the clipped run
+    /// `[max(o, 0), min(E·t + o, S))` that the tiles of a launch over
+    /// `launch_domain` span (empty when `hi <= lo`). `None` for replication,
+    /// for non-injective or truncating projections, and for rank mismatches,
+    /// which the enumerating references handle.
+    fn tile_runs<'a>(
+        &'a self,
+        store_shape: &'a [u64],
+        launch_domain: &'a Domain,
+    ) -> Option<impl Iterator<Item = (i64, i64)> + 'a> {
+        let Partition::Tiling { tile, offset, proj } = self else {
+            return None;
+        };
+        let dims = launch_domain.dims();
+        let closed = match proj {
+            Projection::Identity => dims == tile.len(),
+            Projection::PadZeros { rank } => *rank >= dims && *rank == tile.len(),
+            Projection::SelectDims(_) | Projection::Constant(_) => false,
+        };
+        if !closed || store_shape.len() != tile.len() {
+            return None;
+        }
+        let extents = launch_domain.shape();
+        Some(
+            tile.iter()
+                .zip(offset)
+                .zip(store_shape)
+                .enumerate()
+                .map(move |(d, ((&t, &o), &s))| {
+                    let e = extents.get(d).copied().unwrap_or(1);
+                    (o.max(0), (e as i64 * t as i64 + o).min(s as i64))
+                }),
+        )
     }
 }
 
@@ -395,6 +471,128 @@ mod tests {
             Partition::Replicate.bounding_box(&[6, 3], &Domain::linear(5)),
             Rect::new(vec![0, 0], vec![6, 3])
         );
+    }
+
+    /// Which edge cases one grid run reached, so the exhaustive tests can
+    /// assert that their grids exercise every case the closed form clips.
+    #[derive(Default)]
+    struct GridCoverage {
+        ragged_tile: bool,
+        tile_past_end: bool,
+        empty_domain: bool,
+        covering: bool,
+    }
+
+    /// Checks the closed-form `covers` and `bounding_box` of one partition
+    /// against the enumerating references in `deps`, and every point's
+    /// `sub_store_volume` against its rectangle, and records which edge
+    /// cases the case reached.
+    fn check_against_reference(
+        p: &Partition,
+        shape: &[u64],
+        domain: &Domain,
+        seen: &mut GridCoverage,
+    ) {
+        let covers = p.covers(shape, domain);
+        assert_eq!(
+            covers,
+            deps::covers_by_enumeration(p, shape, domain),
+            "covers: {p} over {domain} on store {shape:?}"
+        );
+        assert_eq!(
+            p.bounding_box(shape, domain),
+            deps::bounding_box_by_enumeration(p, shape, domain),
+            "bounding_box: {p} over {domain} on store {shape:?}"
+        );
+        seen.covering |= covers && !p.is_replicate();
+        seen.empty_domain |= domain.is_empty();
+        for pt in domain.points() {
+            let r = p.sub_store_bounds(shape, &pt);
+            assert_eq!(p.sub_store_volume(shape, &pt), r.volume(), "{p} at {pt:?}");
+            if let Partition::Tiling { tile, .. } = p {
+                let full: u64 = tile.iter().product();
+                seen.ragged_tile |= !r.is_empty() && r.volume() < full;
+                seen.tile_past_end |= r.is_empty() && full > 0;
+            }
+        }
+    }
+
+    const TILES: [u64; 5] = [0, 1, 2, 3, 4];
+
+    #[test]
+    fn closed_form_matches_enumeration_on_1d_grid() {
+        let mut seen = GridCoverage::default();
+        for store in 0..=7u64 {
+            for extent in 0..=4u64 {
+                let domain = Domain::linear(extent);
+                check_against_reference(&Partition::Replicate, &[store], &domain, &mut seen);
+                for t in TILES {
+                    for o in [-5i64, -2, -1, 0, 1, 3, 6] {
+                        for proj in [Projection::Identity, Projection::PadZeros { rank: 1 }] {
+                            let p = Partition::tiling(vec![t], vec![o], proj);
+                            check_against_reference(&p, &[store], &domain, &mut seen);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.ragged_tile && seen.tile_past_end && seen.empty_domain && seen.covering);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn closed_form_matches_enumeration_on_2d_grid() {
+        const OFFSETS: [i64; 3] = [-2, 0, 1];
+        const EXTENTS: [u64; 3] = [0, 3, 5];
+        let mut seen = GridCoverage::default();
+        for (s0, s1) in EXTENTS.iter().flat_map(|&a| EXTENTS.map(|b| (a, b))) {
+            let shape = [s0, s1];
+            for t0 in TILES {
+                for t1 in TILES {
+                    for (o0, o1) in OFFSETS.iter().flat_map(|&a| OFFSETS.map(|b| (a, b))) {
+                        let tiling = |proj| Partition::tiling(vec![t0, t1], vec![o0, o1], proj);
+                        // Identity over 2-D domains.
+                        for e0 in 0..=3u64 {
+                            for e1 in 0..=2u64 {
+                                let domain = Domain::new(vec![e0, e1]);
+                                let p = tiling(Projection::Identity);
+                                check_against_reference(&p, &shape, &domain, &mut seen);
+                            }
+                        }
+                        // Row blocks: PadZeros over 1-D domains.
+                        for e0 in 0..=4u64 {
+                            let domain = Domain::linear(e0);
+                            let p = tiling(Projection::PadZeros { rank: 2 });
+                            check_against_reference(&p, &shape, &domain, &mut seen);
+                            check_against_reference(&Partition::Replicate, &shape, &domain, &mut seen);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.ragged_tile && seen.tile_past_end && seen.empty_domain && seen.covering);
+    }
+
+    #[test]
+    fn projections_without_a_closed_form_use_the_reference() {
+        // An aliased projection, a constant one and a truncating PadZeros:
+        // the public methods answer exactly what the references do, and the
+        // per-point volume matches the per-point rectangle.
+        let domain = Domain::new(vec![2, 2]);
+        for p in [
+            Partition::tiling(vec![2], vec![0], Projection::SelectDims(vec![0])),
+            Partition::tiling(vec![4], vec![0], Projection::Constant(vec![0])),
+            Partition::tiling(vec![2], vec![0], Projection::PadZeros { rank: 1 }),
+        ] {
+            assert_eq!(p.covers(&[4], &domain), deps::covers_by_enumeration(&p, &[4], &domain));
+            assert_eq!(
+                p.bounding_box(&[4], &domain),
+                deps::bounding_box_by_enumeration(&p, &[4], &domain)
+            );
+            for pt in domain.points() {
+                assert_eq!(p.sub_store_volume(&[4], &pt), p.sub_store_bounds(&[4], &pt).volume());
+            }
+        }
     }
 
     #[test]

@@ -969,7 +969,7 @@ impl Runtime {
             lens.extend(
                 req_parts
                     .iter()
-                    .map(|(part, shape)| part.sub_store_bounds(shape, &p).volume() as usize),
+                    .map(|(part, shape)| part.sub_store_volume(shape, &p) as usize),
             );
             for &full in &launch.local_buffer_lens {
                 let per_point = if full <= 1 {
