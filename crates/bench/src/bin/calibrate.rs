@@ -3,7 +3,7 @@
 //! `docs/BENCHMARKS.md`).
 //!
 //! The simulated JIT surcharge of `CompileTimeModel` used to be asserted
-//! (interp ×1.0, closure ×1.25); this binary replaces the assertion with a
+//! (interp ×1.0, simd ×1.5); this binary replaces the assertion with a
 //! measurement. For every backend it times `KernelBackend::compile` across a
 //! grid of module sizes that varies ops-per-stage and stage count
 //! **independently**, fits the linear model
@@ -40,7 +40,7 @@ const BENCH_FILE: &str = "BENCH_compile_calibration.json";
 
 /// The calibrated backends, in recording order. The interpreter is the
 /// reference the ratios are taken against.
-const BACKENDS: [BackendKind; 3] = [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd];
+const BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Simd];
 
 /// Stage counts of the measurement grid.
 const STAGES: [usize; 5] = [1, 2, 4, 8, 16];
@@ -199,7 +199,6 @@ fn main() {
         .iter()
         .map(|f| {
             let name: &str = match f.kind {
-                BackendKind::Closure => "closure_vs_interp",
                 BackendKind::Simd => "simd_vs_interp",
                 BackendKind::Interp => unreachable!(),
             };

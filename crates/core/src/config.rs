@@ -247,7 +247,7 @@ impl DiffuseConfig {
         self
     }
 
-    /// Overrides the kernel backend (e.g. to force the JIT-closure backend
+    /// Overrides the kernel backend (e.g. to force the SIMD backend
     /// regardless of `DIFFUSE_BACKEND`).
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
@@ -365,8 +365,8 @@ mod tests {
     #[test]
     fn backend_override() {
         let c = DiffuseConfig::fused(MachineConfig::single_node(2))
-            .with_backend(BackendKind::Closure);
-        assert_eq!(c.backend, BackendKind::Closure);
+            .with_backend(BackendKind::Simd);
+        assert_eq!(c.backend, BackendKind::Simd);
     }
 
     #[test]

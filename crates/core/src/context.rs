@@ -177,11 +177,13 @@ fn module_content_key(module: &KernelModule) -> u64 {
 }
 
 /// Memoized result of the footprint analysis for one (task kind,
-/// launch-shape) combination: per declared argument, whether the analyzer
-/// narrows its privilege to read and whether its access summary is exact.
+/// launch-shape) combination: which declared arguments the analyzer narrows
+/// to read (bit `i` for argument `i`; arguments past the 64th are never
+/// narrowed, which is always sound) and, per argument, whether its access
+/// summary is exact.
 #[derive(Debug, Clone)]
 struct KindAnalysis {
-    tighten: Vec<bool>,
+    tighten: u64,
     exact: Vec<bool>,
 }
 
@@ -198,8 +200,8 @@ fn analysis_key(task: &IndexTask) -> (u32, u64) {
         h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
     };
     for arg in &task.args {
-        mix(arg.shape.index() as u64);
-        mix(arg.partition.index() as u64);
+        // Both ids are u32 indices: one word per argument.
+        mix((u64::from(arg.shape.index()) << 32) | u64::from(arg.partition.index()));
     }
     for &d in task.launch_domain.shape() {
         mix(d);
@@ -464,12 +466,12 @@ impl ContextInner {
         };
         let num_args = task.args.len();
         let exact: Vec<bool> = (0..num_args).map(|i| summary.buffer(i).is_exact()).collect();
-        let mut tighten = vec![false; num_args];
+        let mut tighten = 0u64;
         if let Some(sig) = self.registry.signature(TaskKind::decode(task.kind)) {
             let eff = kernel::analyze::effective_signature_from_summary(&summary, sig);
             for (arg, _, _) in eff.tightened() {
-                if arg < num_args {
-                    tighten[arg] = true;
+                if arg < num_args.min(64) {
+                    tighten |= 1 << arg;
                 }
             }
         }
@@ -494,20 +496,24 @@ impl ContextInner {
     /// bitwise unchanged while phantom-privilege windows fuse.
     fn tighten_task(&mut self, task: &mut IndexTask) {
         let key = analysis_key(task);
-        if !self.analysis.contains_key(&key) {
-            self.ensure_analysis_keyed(key, task);
-        }
-        let Some(analysis) = self.analysis.get(&key) else {
-            return;
+        // One probe and no heap access on the (steady-state) hit path.
+        let mut mask = match self.analysis.get(&key) {
+            Some(analysis) => analysis.tighten,
+            None => {
+                self.ensure_analysis_keyed(key, task);
+                self.analysis[&key].tighten
+            }
         };
-        let mut tightened = 0;
-        for (arg, tighten) in task.args.iter_mut().zip(&analysis.tighten) {
-            if *tighten && (arg.privilege.writes() || arg.privilege.reduces()) {
+        while mask != 0 {
+            let Some(arg) = task.args.get_mut(mask.trailing_zeros() as usize) else {
+                break;
+            };
+            mask &= mask - 1;
+            if arg.privilege.writes() || arg.privilege.reduces() {
                 arg.privilege = Privilege::Read;
-                tightened += 1;
+                self.stats.privileges_tightened += 1;
             }
         }
-        self.stats.privileges_tightened += tightened;
     }
 
     /// One-pass fusible segmentation of the window (miss path only) with the
@@ -633,8 +639,8 @@ impl ContextInner {
     /// `compile_cost` hook still prices the simulated JIT for the clock.
     ///
     /// Under an active fault plan, [`FaultSite::Compile`] faults degrade the
-    /// backend down the simd → closure → interp chain (`BackendKind::
-    /// fallback`): each injected failure's JIT work is still charged to
+    /// backend down the simd → interp chain (`BackendKind::fallback`): the
+    /// injected failure's JIT work is still charged to
     /// `compile_time` before the next tier retries, and the interpreter is
     /// terminal (its "compilation" is a wrap that cannot fail). Faults are
     /// keyed by module content with the tier index as the attempt, so an
@@ -2011,21 +2017,19 @@ mod tests {
             (ctx.read_store(&out).unwrap(), ctx.elapsed(), ctx.stats())
         };
         let (interp_data, interp_time, interp_stats) = run(BackendKind::Interp);
-        for jit in [BackendKind::Closure, BackendKind::Simd] {
-            let (data, time, stats) = run(jit);
-            assert_eq!(interp_data, data, "{jit:?} must agree with interp bitwise");
-            assert_eq!(
-                interp_time, time,
-                "simulated time is backend-invariant (compile time is accounted \
-                 in stats, not on the clock)"
-            );
-            // Every backend compiles once and hits the memo on the second window.
-            assert_eq!(stats.compilations, 1, "memo hit must skip {jit:?} compilation");
-            assert!(stats.memo_hits >= 1);
-            // A JIT backend's one-time cost is priced above the interpreter
-            // calibration through the compile_cost hook.
-            assert!(stats.compile_time > interp_stats.compile_time);
-        }
+        let (data, time, stats) = run(BackendKind::Simd);
+        assert_eq!(interp_data, data, "simd must agree with interp bitwise");
+        assert_eq!(
+            interp_time, time,
+            "simulated time is backend-invariant (compile time is accounted \
+             in stats, not on the clock)"
+        );
+        // Every backend compiles once and hits the memo on the second window.
+        assert_eq!(stats.compilations, 1, "memo hit must skip simd compilation");
+        assert!(stats.memo_hits >= 1);
+        // The JIT backend's one-time cost is priced above the interpreter
+        // calibration through the compile_cost hook.
+        assert!(stats.compile_time > interp_stats.compile_time);
         assert_eq!(interp_stats.compilations, 1);
         assert!(interp_stats.memo_hits >= 1);
     }
@@ -2188,8 +2192,8 @@ mod tests {
         // At rate 1.0 every fault site fires. The runtime-site schedule
         // (device + region-read) is identical across backends — launch
         // fingerprints deliberately exclude the kernel — so the per-backend
-        // difference isolates the compile site: simd falls two tiers to the
-        // interpreter, closure one, and the interpreter cannot fail.
+        // difference isolates the compile site: simd falls one tier to the
+        // interpreter, and the interpreter cannot fail.
         let run = |backend: BackendKind| {
             let ctx = Context::new(
                 DiffuseConfig::fused(MachineConfig::with_gpus(4))
@@ -2218,26 +2222,19 @@ mod tests {
             (data, ctx.stats())
         };
         let (interp_data, interp_stats) = run(BackendKind::Interp);
-        let (closure_data, closure_stats) = run(BackendKind::Closure);
         let (simd_data, simd_stats) = run(BackendKind::Simd);
         // Recovery repairs every injected fault: results are fault-free.
         assert_eq!(interp_data, vec![6.0; 32]);
-        assert_eq!(closure_data, interp_data);
         assert_eq!(simd_data, interp_data);
         assert!(interp_stats.faults_injected > 0, "runtime sites fired");
         // One fused window = one compilation; the compile-site delta on top
         // of the shared runtime-site schedule pins the degradation order.
-        assert_eq!(closure_stats.faults_injected - interp_stats.faults_injected, 1);
-        assert_eq!(simd_stats.faults_injected - interp_stats.faults_injected, 2);
-        assert_eq!(
-            closure_stats.degraded_launches - interp_stats.degraded_launches,
-            1
-        );
+        assert_eq!(simd_stats.faults_injected - interp_stats.faults_injected, 1);
         assert_eq!(simd_stats.degraded_launches - interp_stats.degraded_launches, 1);
         // Compile faults never retry on the simulated clock (the fallback
         // tier compiles instead); retries are the runtime sites' alone.
         assert_eq!(simd_stats.retries, interp_stats.retries);
-        // The thrown-away tiers' JIT work is still paid for.
+        // The thrown-away tier's JIT work is still paid for.
         assert!(simd_stats.compile_time > interp_stats.compile_time);
         // Recovery left nothing abandoned.
         assert_eq!(simd_stats.abandoned_launches, 0);

@@ -333,7 +333,7 @@ fn isomorphic_windows_replay_one_skeleton_under_every_backend() {
     const GPUS: usize = 4;
     const N: u64 = 16;
     let mut reference: Option<Vec<Vec<u64>>> = None;
-    for backend in [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd] {
+    for backend in [BackendKind::Interp, BackendKind::Simd] {
         let ctx = Context::new(
             DiffuseConfig::fused(MachineConfig::with_gpus(GPUS))
                 .with_backend(backend)

@@ -1,615 +1,67 @@
-//! The JIT-closure backend: loop nests lowered at compile time into
-//! pre-resolved, bound execution bodies.
+//! Bitwise checks of the lowering's exact per-element schedule against the
+//! interpreter (test builds only).
 //!
-//! Where the [`crate::Interpreter`] re-matches every [`LoopOp`] — and
-//! re-resolves every buffer id, operator and SSA guard — for every element of
-//! every iteration, this backend does all of that resolution **once per
-//! module** at compile time:
-//!
-//! * buffer and value ids are resolved to raw slice indices,
-//! * operators and reduction folds are resolved through the same host
-//!   functions the interpreter evaluates with (bitwise-identical results by
-//!   construction); the hot arithmetic ops (`Add`/`Sub`/`Mul`/`Div`/`Neg`)
-//!   are specialized into dedicated micro-ops so the steady state performs
-//!   them inline instead of through a function pointer,
-//! * SSA well-formedness is checked while lowering (a value used before
-//!   definition is a compile error here instead of a per-element check, and
-//!   per-element `defined` bookkeeping disappears entirely),
-//! * loop-invariant ops (constants, scalar parameters, broadcast-scalar
-//!   loads of buffers the loop never writes) are **hoisted** into a prelude
-//!   that runs once per stage execution instead of once per element,
-//! * the remaining ops execute **chunked op-at-a-time**: the loop domain is
-//!   processed in cache-resident chunks of [`CHUNK`] elements, and each
-//!   micro-op streams over the whole chunk in a tight, vectorizable inner
-//!   loop — dispatch cost is paid once per op per chunk instead of once per
-//!   op per element, which is where the steady-state speedup over the
-//!   interpreter comes from.
-//!
-//! Chunked execution reorders operations *across elements within a chunk*,
-//! which is observable only through element-0 side channels (a broadcast
-//! load of a buffer the same loop writes, or two reductions folding into one
-//! accumulator, where float folds are order-sensitive). Lowering detects
-//! those patterns and falls back to an exact per-element schedule, so every
-//! module — including adversarial ones from the equivalence proptest —
-//! remains bitwise-identical to the interpreter.
-//!
-//! Validation that depends on runtime information (buffer presence and
-//! lengths) still happens at execute time, once per stage, from lists
-//! precomputed at compile time — mirroring the interpreter's error contract.
-//!
-//! This is the "real JIT" of the ROADMAP's multi-backend item: it has a
-//! genuine one-time compilation cost (priced by
-//! [`KernelBackend::compile_cost`] above the interpreter's calibration) and a
-//! measurably faster steady state (`cargo run --release --bin
-//! kernel_backends`), which memoization then amortizes exactly as §5.2 of
-//! the paper describes.
+//! The closure backend, retired when the SIMD backend became the only JIT,
+//! executed the [`crate::lower`] micro-op streams directly; these cases
+//! checked it against [`crate::Interpreter`]. The same streams still run that
+//! way: [`CompiledLoop::run_elementwise`] is the SIMD backend's exact
+//! fallback for modules with element-0 side channels. [`run_exact`] sends
+//! every loop stage through it, side channel or not, so a divergence found
+//! here lies in the lowering itself rather than in the SIMD lane schedule.
 
-use std::sync::Arc;
+use crate::interp::{self, ExecError};
+use crate::ir::{KernelModule, KernelStage};
+use crate::lower::{lower_loop, CompiledLoop};
 
-use crate::backend::{BackendKind, CompiledKernel, KernelBackend};
-use crate::cost::CompileTimeModel;
-use crate::interp::{self, buffer_len, ExecError};
-use crate::ir::{
-    BinaryOp, BufferId, KernelModule, KernelStage, LoopKernel, LoopOp, OpaqueOp, ReduceOp,
-    UnaryOp, ValueId,
-};
-
-/// Fallback surcharge over the interpreter's baseline calibration, used only
-/// when `BENCH_compile_calibration.json` has no fitted entry for this backend
-/// (see [`CompileTimeModel::calibrated`]): every op is resolved, specialized
-/// and bound at compile time, historically asserted as a 25% surcharge before
-/// the `calibrate` binary measured the real ratio.
-pub const CLOSURE_COMPILE_FACTOR: f64 = 1.25;
-
-/// Elements processed per op-at-a-time chunk. Sized so a fused window's SSA
-/// value rows (`num_values × CHUNK × 8` bytes) stay L1-resident while still
-/// amortizing dispatch ~64×.
-pub const CHUNK: usize = 64;
-
-/// One pre-resolved micro-op. All ids are raw indices; operator variants the
-/// steady state hits hardest are specialized so they execute inline.
-///
-/// Shared with [`crate::simd::SimdBackend`], which reuses this lowering (and
-/// its hoisting + schedule-selection analysis) and re-executes the same
-/// micro-op streams over arrays-of-lanes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Instr {
-    /// `values[dst] = buffers[buf][i]`
-    Load { dst: u32, buf: u32 },
-    /// `values[dst] = buffers[buf][0]` (non-hoistable broadcast: the loop
-    /// also writes `buf`, so the interpreter would observe updates).
-    LoadScalar { dst: u32, buf: u32 },
-    /// `values[dst] = imm` (constants; prelude only).
-    Set { dst: u32, imm: f64 },
-    /// `values[dst] = scalars[idx]` (prelude only; presence checked first).
-    Param { dst: u32, idx: u32 },
-    /// Specialized inline arithmetic.
-    Neg { dst: u32, a: u32 },
-    Add { dst: u32, a: u32, b: u32 },
-    Sub { dst: u32, a: u32, b: u32 },
-    Mul { dst: u32, a: u32, b: u32 },
-    Div { dst: u32, a: u32, b: u32 },
-    /// Remaining unary operators through a pre-resolved function pointer.
-    Unary { dst: u32, a: u32, f: fn(f64) -> f64 },
-    /// Remaining binary operators through a pre-resolved function pointer.
-    Binary {
-        dst: u32,
-        a: u32,
-        b: u32,
-        f: fn(f64, f64) -> f64,
-    },
-    /// `buffers[buf][i] = values[src]`
-    Store { buf: u32, src: u32 },
-    /// `buffers[buf][0] = fold(buffers[buf][0], values[src])`
-    Reduce { buf: u32, src: u32, op: ReduceOp },
-}
-
-#[inline]
-pub(crate) fn run_instr(
-    instr: Instr,
-    values: &mut [f64],
+/// Lowers every loop stage of `module` up front (so malformed SSA fails
+/// before any buffer is touched, as a compile would), then executes the
+/// stages in order: loops through [`CompiledLoop::run_elementwise`] after the
+/// same runtime checks the SIMD backend makes, opaque stages through the
+/// interpreter's native implementations.
+fn run_exact(
+    module: &KernelModule,
     buffers: &mut [Vec<f64>],
     scalars: &[f64],
-    i: usize,
-) {
-    match instr {
-        Instr::Load { dst, buf } => values[dst as usize] = buffers[buf as usize][i],
-        Instr::LoadScalar { dst, buf } => values[dst as usize] = buffers[buf as usize][0],
-        Instr::Set { dst, imm } => values[dst as usize] = imm,
-        Instr::Param { dst, idx } => values[dst as usize] = scalars[idx as usize],
-        Instr::Neg { dst, a } => values[dst as usize] = -values[a as usize],
-        Instr::Add { dst, a, b } => {
-            values[dst as usize] = values[a as usize] + values[b as usize]
-        }
-        Instr::Sub { dst, a, b } => {
-            values[dst as usize] = values[a as usize] - values[b as usize]
-        }
-        Instr::Mul { dst, a, b } => {
-            values[dst as usize] = values[a as usize] * values[b as usize]
-        }
-        Instr::Div { dst, a, b } => {
-            values[dst as usize] = values[a as usize] / values[b as usize]
-        }
-        Instr::Unary { dst, a, f } => values[dst as usize] = f(values[a as usize]),
-        Instr::Binary { dst, a, b, f } => {
-            values[dst as usize] = f(values[a as usize], values[b as usize])
-        }
-        Instr::Store { buf, src } => buffers[buf as usize][i] = values[src as usize],
-        Instr::Reduce { buf, src, op } => {
-            buffers[buf as usize][0] = op.apply(buffers[buf as usize][0], values[src as usize])
-        }
-    }
-}
-
-/// Chunked op-at-a-time execution (the fast path): invariants are splatted
-/// across a chunk row once, then every micro-op streams over CHUNK-element
-/// slices of the SSA scratch table. Fold order inside reductions is the
-/// element order, so results stay bitwise-identical to the interpreter for
-/// every module this schedule is selected for (see the lowering conditions).
-fn run_vectorized(l: &CompiledLoop, buffers: &mut [Vec<f64>], scalars: &[f64], n: usize) {
-    let mut scratch = vec![f64::NAN; l.num_values.max(1) * CHUNK];
-    for &instr in &l.prelude {
-        let (dst, v) = match instr {
-            Instr::Set { dst, imm } => (dst, imm),
-            Instr::Param { dst, idx } => (dst, scalars[idx as usize]),
-            Instr::LoadScalar { dst, buf } => (dst, buffers[buf as usize][0]),
-            _ => unreachable!("only invariant ops are hoisted"),
-        };
-        let off = dst as usize * CHUNK;
-        scratch[off..off + CHUNK].fill(v);
-    }
-    let mut base = 0usize;
-    while base < n {
-        let len = CHUNK.min(n - base);
-        for &instr in &l.body {
-            match instr {
-                Instr::Load { dst, buf } => {
-                    let off = dst as usize * CHUNK;
-                    scratch[off..off + len]
-                        .copy_from_slice(&buffers[buf as usize][base..base + len]);
-                }
-                Instr::Neg { dst, a } => {
-                    let (d, a) = (dst as usize * CHUNK, a as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = -scratch[a + j];
-                    }
-                }
-                Instr::Add { dst, a, b } => {
-                    let (d, a, b) = (dst as usize * CHUNK, a as usize * CHUNK, b as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = scratch[a + j] + scratch[b + j];
-                    }
-                }
-                Instr::Sub { dst, a, b } => {
-                    let (d, a, b) = (dst as usize * CHUNK, a as usize * CHUNK, b as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = scratch[a + j] - scratch[b + j];
-                    }
-                }
-                Instr::Mul { dst, a, b } => {
-                    let (d, a, b) = (dst as usize * CHUNK, a as usize * CHUNK, b as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = scratch[a + j] * scratch[b + j];
-                    }
-                }
-                Instr::Div { dst, a, b } => {
-                    let (d, a, b) = (dst as usize * CHUNK, a as usize * CHUNK, b as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = scratch[a + j] / scratch[b + j];
-                    }
-                }
-                Instr::Unary { dst, a, f } => {
-                    let (d, a) = (dst as usize * CHUNK, a as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = f(scratch[a + j]);
-                    }
-                }
-                Instr::Binary { dst, a, b, f } => {
-                    let (d, a, b) = (dst as usize * CHUNK, a as usize * CHUNK, b as usize * CHUNK);
-                    for j in 0..len {
-                        scratch[d + j] = f(scratch[a + j], scratch[b + j]);
-                    }
-                }
-                Instr::Store { buf, src } => {
-                    let off = src as usize * CHUNK;
-                    buffers[buf as usize][base..base + len]
-                        .copy_from_slice(&scratch[off..off + len]);
-                }
-                Instr::Reduce { buf, src, op } => {
-                    let off = src as usize * CHUNK;
-                    let mut acc = buffers[buf as usize][0];
-                    match op {
-                        ReduceOp::Sum => {
-                            for j in 0..len {
-                                acc += scratch[off + j];
-                            }
-                        }
-                        ReduceOp::Max => {
-                            for j in 0..len {
-                                acc = acc.max(scratch[off + j]);
-                            }
-                        }
-                        ReduceOp::Min => {
-                            for j in 0..len {
-                                acc = acc.min(scratch[off + j]);
-                            }
-                        }
-                    }
-                    buffers[buf as usize][0] = acc;
-                }
-                Instr::LoadScalar { .. } | Instr::Set { .. } | Instr::Param { .. } => {
-                    unreachable!("invariant ops are always hoisted on the vectorized path")
-                }
-            }
-        }
-        base += len;
-    }
-}
-
-/// A loop stage lowered to a hoisted prelude plus a body, with the
-/// precomputed validation lists the interpreter would otherwise rebuild per
-/// execution. Shared with the SIMD backend, which layers a lane-parallel
-/// schedule on top of the same lowering.
-#[derive(Debug)]
-pub(crate) struct CompiledLoop {
-    /// Buffer defining the iteration domain.
-    pub(crate) domain: BufferId,
-    /// Elementwise-accessed buffers with a "is reduction target" flag
-    /// (reduction targets are exempt from the length check).
-    pub(crate) elem_buffers: Vec<(BufferId, bool)>,
-    /// Buffers read as broadcast scalars (must be non-empty).
-    pub(crate) scalar_buffers: Vec<BufferId>,
-    /// Scalar-parameter indices in first-use order (checked before the loop
-    /// runs, so the error matches the interpreter's first failing `Param`).
-    pub(crate) params_in_order: Vec<usize>,
-    /// Size of the SSA scratch table.
-    pub(crate) num_values: usize,
-    /// Loop-invariant micro-ops, run once per stage execution.
-    pub(crate) prelude: Vec<Instr>,
-    /// The body micro-ops.
-    pub(crate) body: Vec<Instr>,
-    /// Whether the body may be reordered across elements within a chunk (the
-    /// fast path) or must run one element at a time (exact interpreter
-    /// interleaving for modules with element-0 side channels).
-    pub(crate) vectorized: bool,
-}
-
-impl CompiledLoop {
-    /// Runtime validation shared by the chunked backends: checks buffer
-    /// presence, lengths against the iteration domain, broadcast-scalar
-    /// non-emptiness and (for non-empty domains) scalar-parameter presence —
-    /// the same contract, in the same order, as the interpreter. Returns the
-    /// domain length; `0` means the stage is a no-op.
-    pub(crate) fn check(&self, buffers: &[Vec<f64>]) -> Result<usize, ExecError> {
-        let n = buffer_len(buffers, self.domain)?;
-        for &(b, is_reduction_target) in &self.elem_buffers {
-            let len = buffer_len(buffers, b)?;
-            if !is_reduction_target && len < n {
-                return Err(ExecError::LengthMismatch {
-                    domain: self.domain,
-                    buffer: b,
-                });
-            }
-        }
-        for &b in &self.scalar_buffers {
-            if buffer_len(buffers, b)? == 0 {
-                return Err(ExecError::LengthMismatch {
-                    domain: self.domain,
-                    buffer: b,
-                });
-            }
-        }
-        Ok(n)
-    }
-
-    /// Checks scalar-parameter presence in first-use order. Like the
-    /// interpreter, a missing scalar only errors once the loop actually reads
-    /// it, so this runs only for non-empty domains.
-    pub(crate) fn check_params(&self, scalars: &[f64]) -> Result<(), ExecError> {
-        for &p in &self.params_in_order {
-            if p >= scalars.len() {
-                return Err(ExecError::MissingParam(p));
-            }
-        }
-        Ok(())
-    }
-
-    /// The exact per-element schedule: interpreter interleaving for modules
-    /// with element-0 side channels (and the shared fallback of the SIMD
-    /// backend). The caller has already validated via [`Self::check`].
-    pub(crate) fn run_elementwise(
-        &self,
-        buffers: &mut [Vec<f64>],
-        scalars: &[f64],
-        n: usize,
-    ) {
-        let mut values = vec![f64::NAN; self.num_values];
-        for &instr in &self.prelude {
-            run_instr(instr, &mut values, buffers, scalars, 0);
-        }
-        for i in 0..n {
-            for &instr in &self.body {
-                run_instr(instr, &mut values, buffers, scalars, i);
-            }
-        }
-    }
-}
-
-/// One compiled stage.
-#[derive(Debug)]
-enum CompiledStage {
-    Loop(CompiledLoop),
-    /// Opaque builtins dispatch once per stage; their inner loops are already
-    /// native Rust, so they are shared verbatim with the interpreter.
-    Opaque(OpaqueOp),
-}
-
-/// Artifact of the [`ClosureBackend`].
-#[derive(Debug)]
-struct ClosureCompiled {
-    module: KernelModule,
-    stages: Vec<CompiledStage>,
-}
-
-/// The JIT-closure backend. See the module documentation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClosureBackend;
-
-impl KernelBackend for ClosureBackend {
-    fn id(&self) -> &'static str {
-        BackendKind::Closure.id()
-    }
-
-    fn compile(&self, module: &KernelModule) -> Result<Arc<dyn CompiledKernel>, ExecError> {
-        let stages = module
-            .stages
-            .iter()
-            .map(|stage| match stage {
-                KernelStage::Loop(l) => lower_loop(l).map(CompiledStage::Loop),
-                KernelStage::Opaque(op) => Ok(CompiledStage::Opaque(op.clone())),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Arc::new(ClosureCompiled {
-            module: module.clone(),
-            stages,
-        }))
-    }
-
-    fn compile_cost(&self, module: &KernelModule, model: &CompileTimeModel) -> f64 {
-        // Surcharge over `model` (the Figure 13 anchor) taken from the fitted
-        // per-backend calibration, not an asserted constant.
-        model.calibrated(self.id()).compile_time(module)
-    }
-}
-
-impl CompiledKernel for ClosureCompiled {
-    fn module(&self) -> &KernelModule {
-        &self.module
-    }
-
-    fn backend_id(&self) -> &'static str {
-        BackendKind::Closure.id()
-    }
-
-    fn execute_stage(
-        &self,
-        stage: usize,
-        buffers: &mut [Vec<f64>],
-        scalars: &[f64],
-    ) -> Result<(), ExecError> {
-        match &self.stages[stage] {
-            CompiledStage::Opaque(op) => interp::run_opaque(op, buffers),
-            CompiledStage::Loop(l) => {
+) -> Result<(), ExecError> {
+    let lowered = module
+        .stages
+        .iter()
+        .map(|stage| match stage {
+            KernelStage::Loop(l) => lower_loop(l).map(Some),
+            KernelStage::Opaque(_) => Ok(None),
+        })
+        .collect::<Result<Vec<Option<CompiledLoop>>, _>>()?;
+    for (stage, lowered) in module.stages.iter().zip(&lowered) {
+        match (stage, lowered) {
+            (KernelStage::Opaque(op), _) => interp::run_opaque(op, buffers)?,
+            (KernelStage::Loop(_), Some(l)) => {
                 let n = l.check(buffers)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                l.check_params(scalars)?;
-                if l.vectorized {
-                    run_vectorized(l, buffers, scalars, n);
-                } else {
+                if n > 0 {
+                    l.check_params(scalars)?;
                     l.run_elementwise(buffers, scalars, n);
                 }
-                Ok(())
             }
+            (KernelStage::Loop(_), None) => unreachable!("every loop stage is lowered"),
         }
     }
+    Ok(())
 }
 
-/// Lowers one loop body into a [`CompiledLoop`], checking SSA
-/// well-formedness, hoisting loop-invariant ops and selecting the execution
-/// schedule as it goes. Shared with the SIMD backend.
-pub(crate) fn lower_loop(l: &LoopKernel) -> Result<CompiledLoop, ExecError> {
-    let num_values = l.num_values();
-    // Assignment counts: hoisting is only sound for values assigned exactly
-    // once (true SSA); malformed double assignments take the exact
-    // per-element schedule.
-    let mut assignments = vec![0u32; num_values];
-    for op in &l.ops {
-        if let Some(dst) = op.dst() {
-            assignments[dst.0 as usize] += 1;
-        }
-    }
-    // Gaps (ids assigned zero times) are fine — dead-code elimination leaves
-    // them; only double assignments break single-assignment reasoning.
-    let ssa = assignments.iter().all(|&c| c <= 1);
-    let written = l.written_buffers();
-
-    // Element-0 side channels that make chunked execution observable:
-    // broadcast loads of written buffers, reduce targets that are otherwise
-    // touched by the loop, or two folds sharing one accumulator (float folds
-    // are order-sensitive).
-    let mut reduce_targets: Vec<BufferId> = Vec::new();
-    let mut shared_accumulator = false;
-    for op in &l.ops {
-        if let LoopOp::Reduce { buffer, .. } = op {
-            if reduce_targets.contains(buffer) {
-                shared_accumulator = true;
-            }
-            reduce_targets.push(*buffer);
-        }
-    }
-    let scalar_load_of_written = l
-        .ops
-        .iter()
-        .any(|op| matches!(op, LoopOp::LoadScalar { buffer, .. } if written.contains(buffer)));
-    let reduce_target_touched = l.ops.iter().any(|op| match op {
-        LoopOp::Load { buffer, .. }
-        | LoopOp::LoadScalar { buffer, .. }
-        | LoopOp::Store { buffer, .. } => reduce_targets.contains(buffer),
-        _ => false,
-    });
-    let vectorized = ssa && !scalar_load_of_written && !shared_accumulator && !reduce_target_touched;
-
-    let mut defined = vec![false; num_values];
-    let mut params_in_order = Vec::new();
-    let mut prelude = Vec::new();
-    let mut body = Vec::new();
-    for op in &l.ops {
-        let read = |v: ValueId| -> Result<u32, ExecError> {
-            if !defined.get(v.0 as usize).copied().unwrap_or(false) {
-                return Err(ExecError::UndefinedValue(v));
-            }
-            Ok(v.0)
-        };
-        // On the per-element path a value may only be hoisted if it is
-        // assigned exactly once; the vectorized path requires full SSA, so
-        // there every invariant hoists.
-        let once = |dst: ValueId| assignments[dst.0 as usize] == 1;
-        match *op {
-            LoopOp::Load { dst, buffer } => {
-                defined[dst.0 as usize] = true;
-                body.push(Instr::Load {
-                    dst: dst.0,
-                    buf: buffer.0,
-                });
-            }
-            LoopOp::LoadScalar { dst, buffer } => {
-                defined[dst.0 as usize] = true;
-                let instr = Instr::LoadScalar {
-                    dst: dst.0,
-                    buf: buffer.0,
-                };
-                // Broadcast loads are invariant unless this loop writes the
-                // buffer (a store or a reduction would be observed by later
-                // elements under the interpreter).
-                if once(dst) && !written.contains(&buffer) {
-                    prelude.push(instr);
-                } else {
-                    body.push(instr);
-                }
-            }
-            LoopOp::Const { dst, value } => {
-                defined[dst.0 as usize] = true;
-                let instr = Instr::Set {
-                    dst: dst.0,
-                    imm: value,
-                };
-                if once(dst) {
-                    prelude.push(instr);
-                } else {
-                    body.push(instr);
-                }
-            }
-            LoopOp::Param { dst, index } => {
-                defined[dst.0 as usize] = true;
-                params_in_order.push(index);
-                let instr = Instr::Param {
-                    dst: dst.0,
-                    idx: index as u32,
-                };
-                if once(dst) {
-                    prelude.push(instr);
-                } else {
-                    body.push(instr);
-                }
-            }
-            LoopOp::Unary { dst, op, a } => {
-                let a = read(a)?;
-                defined[dst.0 as usize] = true;
-                body.push(match op {
-                    UnaryOp::Neg => Instr::Neg { dst: dst.0, a },
-                    other => Instr::Unary {
-                        dst: dst.0,
-                        a,
-                        f: interp::unary_fn(other),
-                    },
-                });
-            }
-            LoopOp::Binary { dst, op, a, b } => {
-                let a = read(a)?;
-                let b = read(b)?;
-                defined[dst.0 as usize] = true;
-                body.push(match op {
-                    BinaryOp::Add => Instr::Add { dst: dst.0, a, b },
-                    BinaryOp::Sub => Instr::Sub { dst: dst.0, a, b },
-                    BinaryOp::Mul => Instr::Mul { dst: dst.0, a, b },
-                    BinaryOp::Div => Instr::Div { dst: dst.0, a, b },
-                    other => Instr::Binary {
-                        dst: dst.0,
-                        a,
-                        b,
-                        f: interp::binary_fn(other),
-                    },
-                });
-            }
-            LoopOp::Store { buffer, src } => {
-                let src = read(src)?;
-                body.push(Instr::Store {
-                    buf: buffer.0,
-                    src,
-                });
-            }
-            LoopOp::Reduce { buffer, op, src } => {
-                let src = read(src)?;
-                body.push(Instr::Reduce {
-                    buf: buffer.0,
-                    src,
-                    op,
-                });
-            }
-        }
-    }
-    let elem_buffers = l
-        .loaded_buffers()
-        .into_iter()
-        .chain(l.written_buffers())
-        .map(|b| {
-            let is_reduction_target = l
-                .ops
-                .iter()
-                .any(|op| matches!(op, LoopOp::Reduce { buffer, .. } if *buffer == b));
-            (b, is_reduction_target)
-        })
-        .collect();
-    Ok(CompiledLoop {
-        domain: l.domain,
-        elem_buffers,
-        scalar_buffers: l.scalar_loaded_buffers(),
-        params_in_order,
-        num_values,
-        prelude,
-        body,
-        vectorized,
-    })
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::LoopBuilder;
     use crate::interp::Interpreter;
-    use crate::ir::{BufferRole, IndexWidth};
+    use crate::ir::{BinaryOp, BufferId, BufferRole, IndexWidth, OpaqueOp, ReduceOp, UnaryOp};
 
-    fn both(module: &KernelModule, bufs: &[Vec<f64>], scalars: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    fn both(
+        module: &KernelModule,
+        bufs: &[Vec<f64>],
+        scalars: &[f64],
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let mut a = bufs.to_vec();
         Interpreter::new().execute(module, &mut a, scalars).unwrap();
         let mut b = bufs.to_vec();
-        ClosureBackend
-            .compile(module)
-            .unwrap()
-            .execute(&mut b, scalars)
-            .unwrap();
+        run_exact(module, &mut b, scalars).unwrap();
         (a, b)
     }
 
@@ -702,56 +154,22 @@ mod tests {
         let v = lb.mul(x, p);
         lb.store(BufferId(1), v);
         m.push_loop(lb.finish());
-        let compiled = ClosureBackend.compile(&m).unwrap();
         let mut bufs = vec![vec![1.0], vec![0.0]];
         assert_eq!(
-            compiled.execute(&mut bufs, &[]),
+            run_exact(&m, &mut bufs, &[]),
             Err(ExecError::MissingParam(0))
         );
         // Missing buffer.
         let mut short = vec![vec![1.0]];
         assert!(matches!(
-            compiled.execute(&mut short, &[1.0]),
+            run_exact(&m, &mut short, &[1.0]),
             Err(ExecError::MissingBuffer(_))
         ));
         // Length mismatch.
         let mut mismatched = vec![vec![1.0, 2.0], vec![0.0]];
         assert!(matches!(
-            compiled.execute(&mut mismatched, &[1.0]),
+            run_exact(&m, &mut mismatched, &[1.0]),
             Err(ExecError::LengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn malformed_ssa_is_a_compile_error() {
-        let mut m = KernelModule::new(2);
-        let kernel = LoopKernel {
-            name: "bad".into(),
-            domain: BufferId(0),
-            ops: vec![LoopOp::Store {
-                buffer: BufferId(1),
-                src: ValueId(3), // never defined
-            }],
-            parallel: false,
-        };
-        m.push_loop(kernel);
-        assert_eq!(
-            ClosureBackend.compile(&m).err(),
-            Some(ExecError::UndefinedValue(ValueId(3)))
-        );
-    }
-
-    #[test]
-    fn compile_cost_is_above_the_interpreter_calibration() {
-        let mut m = KernelModule::new(2);
-        let mut lb = LoopBuilder::new("id", BufferId(0));
-        let x = lb.load(BufferId(0));
-        lb.store(BufferId(1), x);
-        m.push_loop(lb.finish());
-        let model = CompileTimeModel::default();
-        assert!(
-            ClosureBackend.compile_cost(&m, &model)
-                > crate::backend::InterpBackend.compile_cost(&m, &model)
-        );
     }
 }

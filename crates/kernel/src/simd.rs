@@ -1,14 +1,12 @@
-//! The SIMD backend: fused loop nests lowered once into lane-parallel
-//! chunked kernels over arrays-of-lanes.
+//! The SIMD backend, the JIT of this reproduction: fused loop nests lowered
+//! once into lane-parallel chunked kernels over arrays-of-lanes.
 //!
-//! The [`crate::closure::ClosureBackend`] already resolves every op at
-//! compile time and streams each micro-op over 64-element chunks, but its
-//! scratch table is a flat `Vec<f64>` indexed with runtime offsets: every
-//! inner loop has a dynamic trip count and bounds-checked slice accesses the
-//! optimizer must see through. This backend takes the same lowering one step
-//! further, in the style of the single-pass fused SIMD kernels of
-//! "Optimizing CUDA Code By Kernel Fusion" and Bohrium's runtime-fused array
-//! streams (see PAPERS.md):
+//! Compilation runs the shared lowering (`lower::lower_loop`), which
+//! resolves every buffer id, operator and SSA guard once per stage, hoists
+//! loop invariants and selects the schedule. Execution then streams the
+//! resulting micro-ops over fixed-size chunks, in the style of the
+//! single-pass fused SIMD kernels of "Optimizing CUDA Code By Kernel Fusion"
+//! and Bohrium's runtime-fused array streams (see PAPERS.md):
 //!
 //! * SSA values live in **arrays-of-lanes**: each value is a register row
 //!   `[[f64; LANES]; VECTORS]` (`f64x4`-style lane vectors, [`SIMD_CHUNK`]
@@ -19,9 +17,8 @@
 //!   first, then body), so an op's destination register always has a strictly
 //!   higher index than its operands. Execution then borrows destination and
 //!   operand rows disjointly via `split_at_mut` — zero-copy, no `unsafe`.
-//! * Loop-invariant hoisting is **reused from the closure lowering**
-//!   (`closure::lower_loop`): constants, scalar parameters and
-//!   broadcast loads are splatted across a register row once per stage.
+//! * Loop invariants hoisted by the lowering (constants, scalar parameters
+//!   and broadcast loads) are splatted across a register row once per stage.
 //! * Domains that are not a multiple of the chunk width run an explicit
 //!   **masked tail**: loads fill only the valid lanes, arithmetic runs full
 //!   width (dead lanes hold stale values, which is harmless — no element's
@@ -29,8 +26,8 @@
 //!   valid lanes.
 //! * Reductions fold the valid lanes **in element order** and modules with
 //!   element-0 side channels (broadcast loads of written buffers, shared or
-//!   touched accumulators — the closure backend's exact conditions) take the
-//!   exact per-element fallback, so results stay **bitwise-identical** to
+//!   touched accumulators, detected by the lowering) take the exact
+//!   per-element fallback, so results stay **bitwise-identical** to
 //!   [`crate::Interpreter`] for every module. Elementwise lane arithmetic is
 //!   bitwise-deterministic because each element's dataflow is independent and
 //!   identical to the scalar evaluation (Rust never contracts `f64` ops into
@@ -42,29 +39,30 @@
 //!   accordingly.
 //!
 //! Opaque stages (SpMV, GEMV, restrict/prolong) dispatch to the same native
-//! implementations as the interpreter, exactly like the closure backend.
+//! implementations as the interpreter.
 //!
-//! The one-time lowering (closure lowering + renumbering) costs more than the
-//! closure backend's, which the simulated clock prices through the fitted
-//! per-backend [`CompileTimeModel`] calibration (`cargo run --release --bin
-//! calibrate`); the steady state is measurably faster on the fused cg/jacobi
-//! windows (`cargo run --release --bin kernel_backends`). Memoization then
-//! amortizes the larger surcharge exactly as §5.2 of the paper describes.
+//! The one-time lowering (lowering + renumbering) costs more than the
+//! interpreter's module wrap, which the simulated clock prices through the
+//! fitted per-backend [`CompileTimeModel`] calibration (`cargo run --release
+//! --bin calibrate`); the steady state is measurably faster on the fused
+//! cg/jacobi windows (`cargo run --release --bin kernel_backends`).
+//! Memoization then amortizes the surcharge exactly as §5.2 of the paper
+//! describes.
 
 use std::sync::Arc;
 
 use crate::backend::{BackendKind, CompiledKernel, KernelBackend};
-use crate::closure::{lower_loop, CompiledLoop, Instr};
 use crate::cost::CompileTimeModel;
 use crate::interp::{self, ExecError};
 use crate::ir::{KernelModule, KernelStage, OpaqueOp, ReduceOp};
+use crate::lower::{lower_loop, CompiledLoop, Instr};
 
 /// Lanes per SIMD vector: the `f64x4` shape of a 256-bit double vector.
 pub const LANES: usize = 4;
 
 /// Lane vectors per register row. `LANES * VECTORS` elements are processed
-/// per chunk; sized to match the closure backend's chunk so the comparison
-/// between the two backends isolates the lane layout, not the blocking.
+/// per chunk, so a fused window's register rows stay L1-resident while
+/// dispatch is amortized over 64 elements.
 pub const VECTORS: usize = 16;
 
 /// Elements processed per chunk ([`LANES`] × [`VECTORS`]).
@@ -73,13 +71,13 @@ pub const SIMD_CHUNK: usize = LANES * VECTORS;
 /// Fallback compile-cost surcharge over the interpreter's baseline
 /// calibration, used only when `BENCH_compile_calibration.json` has no fitted
 /// entry for this backend (see [`CompileTimeModel::calibrated`]): the SIMD
-/// backend runs the full closure lowering plus the renumbering pass.
+/// backend runs the full lowering plus the renumbering pass.
 pub const SIMD_COMPILE_FACTOR: f64 = 1.5;
 
 /// One SSA register row: [`SIMD_CHUNK`] elements as an array-of-lanes.
 type Row = [[f64; LANES]; VECTORS];
 
-/// The lane-parallel schedule for one loop stage: the closure lowering's
+/// The lane-parallel schedule for one loop stage: the lowering's
 /// prelude/body micro-op streams with values renumbered in definition order,
 /// so `dst > operands` holds for every op (the `split_at_mut` invariant).
 #[derive(Debug)]
@@ -89,7 +87,7 @@ pub(crate) struct LanePlan {
     pub(crate) num_regs: usize,
 }
 
-/// One compiled loop stage: the shared closure lowering plus, when the
+/// One compiled loop stage: the shared lowering plus, when the
 /// chunked schedule is sound for this module, the lane-parallel plan.
 #[derive(Debug)]
 struct SimdLoop {
@@ -127,7 +125,7 @@ impl KernelBackend for SimdBackend {
             .map(|stage| match stage {
                 KernelStage::Loop(l) => lower_loop(l).map(|inner| {
                     // The renumbering requires full SSA, which is exactly the
-                    // closure lowering's condition for the reorderable
+                    // lowering's condition for the reorderable
                     // schedule; modules with element-0 side channels keep
                     // `lanes: None` and run the exact per-element fallback.
                     let lanes = if inner.vectorized {
@@ -190,7 +188,7 @@ impl CompiledKernel for SimdCompiled {
 /// Renumbers the lowered value ids in definition order (prelude first, then
 /// body) so every op's destination register index strictly exceeds its
 /// operands'. Returns `None` if any operand is read before definition —
-/// impossible for streams the closure lowering marked `vectorized`, but the
+/// impossible for streams the lowering marked `vectorized`, but the
 /// caller falls back to the exact schedule rather than trusting that.
 pub(crate) fn renumber(l: &CompiledLoop) -> Option<LanePlan> {
     const UNDEF: u32 = u32::MAX;
@@ -417,7 +415,9 @@ mod tests {
     use super::*;
     use crate::builder::LoopBuilder;
     use crate::interp::Interpreter;
-    use crate::ir::{BinaryOp, BufferId, BufferRole, IndexWidth, UnaryOp};
+    use crate::ir::{
+        BinaryOp, BufferId, BufferRole, IndexWidth, LoopKernel, LoopOp, UnaryOp, ValueId,
+    };
 
     fn both(
         module: &KernelModule,
@@ -622,6 +622,24 @@ mod tests {
             compiled.execute(&mut mismatched, &[1.0]),
             Err(ExecError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn malformed_ssa_is_a_compile_error() {
+        let mut m = KernelModule::new(2);
+        m.push_loop(LoopKernel {
+            name: "bad".into(),
+            domain: BufferId(0),
+            ops: vec![LoopOp::Store {
+                buffer: BufferId(1),
+                src: ValueId(3), // never defined
+            }],
+            parallel: false,
+        });
+        assert_eq!(
+            SimdBackend.compile(&m).err(),
+            Some(ExecError::UndefinedValue(ValueId(3)))
+        );
     }
 
     #[test]

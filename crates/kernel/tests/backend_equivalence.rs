@@ -1,13 +1,13 @@
-//! Three-way backend differential harness: the JIT-closure and SIMD backends
-//! must produce bitwise-identical buffers to the interpreter backend, for any
-//! kernel module, any input values and any domain length.
+//! Backend differential harness: the SIMD backend must produce
+//! bitwise-identical buffers to the interpreter backend, for any kernel
+//! module, any input values and any domain length.
 //!
 //! The property test generates random modules — several stages, each either a
 //! dense loop (random straight-line SSA bodies with loads, broadcast-scalar
 //! loads, constants, scalar parameters, unary/binary arithmetic, stores and
 //! reductions) or an opaque builtin (restrict, prolong, CSR SpMV over a
-//! deterministically valid sparse structure) — compiles each module with all
-//! three backends and compares every output buffer with exact bit equality
+//! deterministically valid sparse structure) — compiles each module with
+//! both backends and compares every output buffer with exact bit equality
 //! (`f64::to_bits`, so `-0.0` is distinguished from `0.0` and subnormals must
 //! survive unflushed). The one sanctioned exception is NaN *payloads*: Rust
 //! documents the payload/sign bits of a freshly produced NaN as
@@ -38,8 +38,7 @@ use kernel::{
 
 /// Every shipped backend; index 0 is the interpreter reference the other
 /// backends are diffed against.
-const ALL_BACKENDS: [BackendKind; 3] =
-    [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd];
+const ALL_BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Simd];
 
 /// Number of buffers every generated module uses. Buffer 0 is the loop
 /// domain / primary input, the rest are read/written freely.
@@ -177,7 +176,7 @@ fn build_loop(domain: BufferId, raw_ops: &[RawOp]) -> LoopKernel {
 /// and write strictly within equal-length buffers, so they can mix freely
 /// with random loops. GEMV and SpMV constrain buffer shapes (matrix size,
 /// valid CSR structure), so SpMV runs only against the dedicated CSR input
-/// set and GEMV is covered by the unit tests in `kernel::closure`.
+/// set and GEMV only in `gemv_stage_is_backend_invariant`.
 fn build_opaque(kind: u64) -> OpaqueOp {
     if kind.is_multiple_of(2) {
         OpaqueOp::Restrict {
@@ -306,8 +305,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random modules (loops + opaque stages + reductions) produce
-    /// bitwise-identical buffers under the interpreter, closure and SIMD
-    /// backends, across masked-tail domain lengths and adversarially seeded
+    /// bitwise-identical buffers under the interpreter and SIMD backends, across masked-tail domain lengths and adversarially seeded
     /// inputs (NaN, ±inf, signed zeros, subnormals).
     #[test]
     fn random_modules_are_backend_invariant(
@@ -461,7 +459,7 @@ fn concatenated_independent_nests_match_sequential_modules() {
     }
 }
 
-/// A hand-picked module mixing every op class, checked across all three
+/// A hand-picked module mixing every op class, checked across both
 /// backends with exact bit equality (fast sanity check that runs even when
 /// the property test budget is cut down).
 #[test]
@@ -488,4 +486,52 @@ fn mixed_module_is_backend_invariant() {
     });
 
     assert_backend_invariant(&module, &input_buffers(8, false, 0));
+}
+
+/// A dense GEMV stage (`y = A·x`, `A` row-major `rows × cols`) feeding a loop
+/// that scales its result, over shapes that straddle the SIMD chunk and
+/// inputs seeded with specials: the opaque stage and the lowered loop must
+/// both match the interpreter bitwise.
+#[test]
+fn gemv_stage_is_backend_invariant() {
+    let mut module = KernelModule::new(4);
+    module.set_role(BufferId(2), BufferRole::Output);
+    module.set_role(BufferId(3), BufferRole::Output);
+    module.push_opaque(OpaqueOp::Gemv {
+        a: BufferId(0),
+        x: BufferId(1),
+        y: BufferId(2),
+    });
+    let raw: Vec<RawOp> = vec![
+        (0, 2, 0, 0), // load y
+        (3, 2, 0, 0), // param 2
+        (5, 2, 0, 1), // mul y * param
+        (6, 3, 2, 0), // store b3
+    ];
+    module.push_loop(build_loop(BufferId(2), &raw));
+
+    for (rows, cols) in [(1, 1), (3, 2), (LANES + 1, 7), (SIMD_CHUNK + 1, 3)] {
+        for special_stride in [0, 3] {
+            let value = |i: usize| {
+                if special_stride > 0 && i.is_multiple_of(special_stride) {
+                    SPECIALS[(i / special_stride) % SPECIALS.len()]
+                } else {
+                    (i % 11) as f64 * 0.375 - 1.5
+                }
+            };
+            let inputs = vec![
+                (0..rows * cols).map(value).collect(),
+                (0..cols).map(|c| value(c + 1)).collect(),
+                vec![0.0; rows],
+                vec![0.0; rows],
+            ];
+            // The bitwise comparison only runs on success, so the shapes
+            // must be valid for the reference.
+            let mut reference = inputs.clone();
+            kernel::Interpreter::new()
+                .execute(&module, &mut reference, &SCALARS)
+                .unwrap();
+            assert_backend_invariant(&module, &inputs);
+        }
+    }
 }

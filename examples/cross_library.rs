@@ -69,11 +69,7 @@ fn main() {
         ("serial", ExecutorKind::Serial),
         ("parallel", ExecutorKind::WorkStealing { workers: Some(2) }),
     ];
-    let backends = [
-        ("interp", BackendKind::Interp),
-        ("closure", BackendKind::Closure),
-        ("simd", BackendKind::Simd),
-    ];
+    let backends = [("interp", BackendKind::Interp), ("simd", BackendKind::Simd)];
 
     let (reference, fused_stats) = run(true, ExecutorKind::Serial, BackendKind::Interp);
     let (unfused_checksum, unfused_stats) = run(false, ExecutorKind::Serial, BackendKind::Interp);
